@@ -63,20 +63,14 @@ object BoSearch {
       val model = EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = 3, nBurn = 6, thin = 2)
       val best = ys.min
       val incumbent = xs(ys.indexOf(best))
-      var bestU: Array[Double] = null
-      var bestEi = Double.NegativeInfinity
-      var tries = 0
-      while (tries < 160) {
-        val u = if (tries < 120) Array.fill(space.dim)(rng.nextDouble())
-                else incumbent.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * 0.08)))
-        if (candidateFilter(ConfigValues(space.decode(u).values ++ pinned))) {
-          val e = model.ei(u, best)
-          if (e > bestEi) { bestEi = e; bestU = u }
-        }
-        tries += 1
-      }
-      if (bestU == null) bestU = Array.fill(space.dim)(rng.nextDouble())
-      eval(bestU)
+      // generate and filter in draw order, then score the survivors in one batch
+      val pool = Array.tabulate(160) { tries =>
+        if (tries < 120) space.randomUnit(rng)
+        else incumbent.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * 0.08)))
+      }.filter(u => candidateFilter(confOf(u)))
+      val (bestI, bestEi) = model.maxEi(pool, best)
+      // nothing scored above −∞: no candidate passed the filter, or every EI was NaN
+      eval(if (bestEi > Double.NegativeInfinity) pool(bestI) else space.randomUnit(rng))
       it += 1
     }
     State(trials, cost)

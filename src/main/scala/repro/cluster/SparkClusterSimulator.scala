@@ -49,14 +49,13 @@ final class SparkClusterSimulator(
     // pick) overconfident — plus a per-query component that grows with the
     // query's shuffle intensity (stragglers, spills, fetch retries).
     val common = math.exp(rng.nextGaussian() * commonNoiseSd)
-    val perQuery = ids.map { id =>
+    val times = ids.map(id => queryTime(workload.profile(id), conf, datasizeGB))
+    val perQuery = ids.zip(times).map { case (id, (t, _)) =>
       val q = workload.profile(id)
-      val (t, _) = queryTime(q, conf, datasizeGB)
       val idioSd = queryNoiseSd + shuffleNoiseSd * (1.0 - math.exp(-4.0 * q.shuffleGBPerGB))
       id -> t * common * math.exp(rng.nextGaussian() * idioSd)
     }.toMap
-    val gc = ids.map(id => queryTime(workload.profile(id), conf, datasizeGB)._2).sum * common
-    ExecResult(perQuery, gc)
+    ExecResult(perQuery, times.map(_._2).sum * common)
   }
 
   /** Noise-free total time of a query subset. */

@@ -79,29 +79,24 @@ final class LocatSession(
       val model = EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = 3, nBurn = 8)
       val best = ys.min
       val incumbentU = fullRuns(fullRuns.indices.minBy(i => ys(i)))._2
-      val d = space.dim
       // candidates over conf-space; ds coordinate is pinned to the current ds
-      val (cand, _) = argmaxEiWithPinnedDs(model, best, d, ds, Some(incumbentU))
+      val (cand, _) = argmaxEiWithPinnedDs(model, best, ds, Some(incumbentU))
       runFull(space.decode(cand), cand, ds)
     }
   }
 
-  private def argmaxEiWithPinnedDs(model: EiMcmc.Marginalized, best: Double, d: Int,
-                                   ds: Double, incumbent: Option[Array[Double]],
+  private def argmaxEiWithPinnedDs(model: EiMcmc.Marginalized, best: Double, ds: Double,
+                                   incumbent: Option[Array[Double]],
                                    nRandom: Int = 192, nLocal: Int = 48): (Array[Double], Double) = {
     val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
     var i = 0
-    while (i < nRandom) { pool += Array.fill(d)(rng.nextDouble()); i += 1 }
+    while (i < nRandom) { pool += space.randomUnit(rng); i += 1 }
     incumbent.foreach { inc =>
       var j = 0
       while (j < nLocal) { pool += inc.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * 0.08))); j += 1 }
     }
-    var bestX = pool.head; var bestEi = Double.NegativeInfinity
-    pool.foreach { c =>
-      val e = model.ei(Dagp.inputVec(c, ds), best)
-      if (e > bestEi) { bestEi = e; bestX = c }
-    }
-    (bestX, bestEi)
+    val (bestI, bestEi) = model.maxEi(pool.map(c => Dagp.inputVec(c, ds)).toArray, best)
+    (pool(bestI), bestEi)
   }
 
   // ---------------------------------------------------------------- phase 2
@@ -140,7 +135,7 @@ final class LocatSession(
       // draws plus coarse and fine perturbations of the incumbent
       val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
       var i = 0
-      while (i < 320) { pool += Array.fill(sub.dim)(rng.nextDouble()); i += 1 }
+      while (i < 320) { pool += sub.randomUnit(rng); i += 1 }
       incumbentSub.foreach { inc =>
         var j = 0
         while (j < 96) {
@@ -149,11 +144,8 @@ final class LocatSession(
           j += 1
         }
       }
-      var bestU = pool.head; var bestEi = Double.NegativeInfinity
-      pool.foreach { u =>
-        val e = model.ei(Dagp.inputVec(featuresOfSubUnit(u), ds), best)
-        if (e > bestEi) { bestEi = e; bestU = u }
-      }
+      val (bestI, bestEi) = model.maxEi(pool.map(u => Dagp.inputVec(featuresOfSubUnit(u), ds)).toArray, best)
+      val bestU = pool(bestI)
 
       // evaluate: important params from the candidate, the rest pinned
       val subConf = sub.decode(bestU)
@@ -178,7 +170,8 @@ final class LocatSession(
     val model = EiMcmc.fitMarginalized(kernel,
       window.map(s => Dagp.inputVec(s.features, s.ds)).toSeq,
       window.map(s => math.log(s.rqaSeconds)).toSeq, rng, nSamples = 4, nBurn = 10)
-    val best = atDs.minBy(s => model.predict(Dagp.inputVec(s.features, ds))._1)
+    val (mus, _) = model.predictBatch(atDs.map(s => Dagp.inputVec(s.features, ds)).toArray)
+    val best = atDs(atDs.indices.minBy(i => mus(i)))
     val verify = objective.run(best.conf, ds, None)
     totalCost += verify.totalSeconds
     allTrials += Trial(best.conf, ds, verify, verify.totalSeconds, fullApp = true)
@@ -217,11 +210,11 @@ final class LocatSession(
     */
   def tuneNext(ds: Double): TuningResult = {
     if (qcsaResult.isEmpty) throw new IllegalStateException("tuneNext requires tuneInitial")
-    val before = totalCost
+    val (n, before) = (allTrials.size, totalCost)
     boOnRqa(ds, nextMinIter, nextMaxIter)
     val r = finishAtDs(ds)
-    // report only the incremental cost of this datasize
-    r.copy(optimizationSeconds = totalCost - before)
+    // report only this datasize's trials and their cost
+    r.copy(optimizationSeconds = totalCost - before, trials = r.trials.drop(n))
   }
 }
 

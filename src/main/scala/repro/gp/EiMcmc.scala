@@ -16,23 +16,58 @@ object EiMcmc {
   /** One GP per posterior hyperparameter sample. */
   final case class Marginalized(gps: Seq[GaussianProcess]) {
     def predict(x: Array[Double]): (Double, Double) = {
-      // Mixture moments: mean of means; variance = mean(var + mean²) − mean²
-      val ms = gps.map(_.predict(x))
-      val mu = ms.map(_._1).sum / ms.size
-      val second = ms.map { case (m, s) => s * s + m * m }.sum / ms.size
-      (mu, math.sqrt(math.max(second - mu * mu, 1e-12)))
+      val (mu, sd) = predictBatch(Array(x))
+      (mu(0), sd(0))
+    }
+
+    /** Mixture moments at every point of `xs`: mean of the draws' means;
+      * variance = mean(var + mean²) − mean².
+      */
+    def predictBatch(xs: Array[Array[Double]]): (Array[Double], Array[Double]) = {
+      val m = xs.length
+      val mu = new Array[Double](m)
+      val second = new Array[Double](m)
+      gps.map(_.predictBatch(xs)).foreach { case (gm, gs) =>
+        var c = 0
+        while (c < m) { mu(c) += gm(c); second(c) += gs(c) * gs(c) + gm(c) * gm(c); c += 1 }
+      }
+      val sd = new Array[Double](m)
+      var c = 0
+      while (c < m) {
+        mu(c) = mu(c) / gps.size
+        sd(c) = math.sqrt(math.max(second(c) / gps.size - mu(c) * mu(c), 1e-12))
+        c += 1
+      }
+      (mu, sd)
     }
 
     /** Expected improvement (minimization) averaged over hyper samples. */
-    def ei(x: Array[Double], best: Double, xi: Double = 0.0): Double = {
-      var tot = 0.0
-      gps.foreach { gp =>
-        val (mu, sd) = gp.predict(x)
-        val imp = best - mu - xi
-        tot += (if (sd < 1e-12) math.max(imp, 0.0)
-                else imp * Stats.normCdf(imp / sd) + sd * Stats.normPdf(imp / sd))
+    def ei(x: Array[Double], best: Double, xi: Double = 0.0): Double = eiBatch(Array(x), best, xi)(0)
+
+    /** [[ei]] at every point of `xs`, scored with one batched prediction per draw. */
+    def eiBatch(xs: Array[Array[Double]], best: Double, xi: Double = 0.0): Array[Double] = {
+      val tot = new Array[Double](xs.length)
+      gps.map(_.predictBatch(xs)).foreach { case (mu, sd) =>
+        var c = 0
+        while (c < xs.length) {
+          val imp = best - mu(c) - xi
+          tot(c) += (if (sd(c) < 1e-12) math.max(imp, 0.0)
+                     else imp * Stats.normCdf(imp / sd(c)) + sd(c) * Stats.normPdf(imp / sd(c)))
+          c += 1
+        }
       }
-      tot / gps.size
+      tot.map(_ / gps.size)
+    }
+
+    /** Index and EI of the first candidate with the strictly highest EI;
+      * (0, −∞) when none beats −∞ (every EI NaN).
+      */
+    def maxEi(xs: Array[Array[Double]], best: Double): (Int, Double) = {
+      val e = eiBatch(xs, best)
+      var bestI = 0; var bestEi = Double.NegativeInfinity
+      var c = 0
+      while (c < e.length) { if (e(c) > bestEi) { bestEi = e(c); bestI = c }; c += 1 }
+      (bestI, bestEi)
     }
   }
 
@@ -92,13 +127,8 @@ object EiMcmc {
         j += 1
       }
     }
-    var bestX = pool.head
-    var bestEi = Double.NegativeInfinity
-    pool.foreach { c =>
-      val e = model.ei(c, best)
-      if (e > bestEi) { bestEi = e; bestX = c }
-    }
-    (bestX, bestEi)
+    val (bestI, bestEi) = model.maxEi(pool.toArray, best)
+    (pool(bestI), bestEi)
   }
 
   private def clamp01(v: Double): Double = math.min(1.0, math.max(0.0, v))

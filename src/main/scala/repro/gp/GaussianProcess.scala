@@ -14,6 +14,7 @@ final class GaussianProcess private (
     val x: Array[Array[Double]],
     val yRaw: Array[Double],
     val logHypers: Array[Double], // kernel hypers ++ [log noise]
+    k: GpKernel.Prepared,
     chol: Mat,
     alpha: Array[Double],
     yMean: Double,
@@ -23,16 +24,43 @@ final class GaussianProcess private (
 
   /** Predictive mean and standard deviation at `xs`, on the raw target scale. */
   def predict(xs: Array[Double]): (Double, Double) = {
-    val kStar = Array.tabulate(n)(i => kernel(xs, x(i), logHypers))
-    var mu = 0.0
-    var i = 0
-    while (i < n) { mu += kStar(i) * alpha(i); i += 1 }
-    val v = Mat.solveLower(chol, kStar)
-    var kss = kernel(xs, xs, logHypers)
-    i = 0
-    while (i < n) { kss -= v(i) * v(i); i += 1 }
-    val sd = math.sqrt(math.max(kss, 1e-12))
-    (mu * yStd + yMean, sd * yStd)
+    val (mu, sd) = predictBatch(Array(xs))
+    (mu(0), sd(0))
+  }
+
+  /** Predictive means and standard deviations at every point of `xs`, on the
+    * raw target scale (GPML Alg. 2.1). Each candidate's forward substitution
+    * L·v = k* follows `Mat.solveLower`'s operation order, so its prediction
+    * does not depend on the batch it is scored in.
+    */
+  def predictBatch(xs: Array[Array[Double]]): (Array[Double], Array[Double]) = {
+    val mu = new Array[Double](xs.length)
+    val sd = new Array[Double](xs.length)
+    val l = chol.data
+    val v = new Array[Double](n)
+    var c = 0
+    while (c < xs.length) {
+      val xc = xs(c)
+      var kAlpha = 0.0
+      var kss = k(xc, xc)
+      var i = 0
+      while (i < n) {
+        val ki = k(xc, x(i))
+        kAlpha += ki * alpha(i)
+        val row = i * n
+        var s = ki
+        var j = 0
+        while (j < i) { s -= l(row + j) * v(j); j += 1 }
+        s = s / l(row + i)
+        v(i) = s
+        kss -= s * s
+        i += 1
+      }
+      mu(c) = kAlpha * yStd + yMean
+      sd(c) = math.sqrt(math.max(kss, 1e-12)) * yStd
+      c += 1
+    }
+    (mu, sd)
   }
 
   /** Log marginal likelihood of the (standardized) training data. */
@@ -65,22 +93,26 @@ object GaussianProcess {
     val yStd = if (yStd0 < 1e-12) 1.0 else yStd0
     val yStdz = ya.map(v => (v - yMean) / yStd)
     val noise2 = math.exp(2.0 * logHypers.last)
+    val k = kernel.at(logHypers)
 
+    val gram = Mat.zeros(n, n)
+    var i = 0
+    while (i < n) {
+      var j = i
+      while (j < n) { val v = k(xa(i), xa(j)); gram(i, j) = v; gram(j, i) = v; j += 1 }
+      i += 1
+    }
     var jitter = 1e-10
     var attempt = 0
     var result: GaussianProcess = null
     while (result == null) {
-      val k = Mat.zeros(n, n)
-      for (i <- 0 until n; j <- i until n) {
-        val v = kernel(xa(i), xa(j), logHypers)
-        k(i, j) = v; k(j, i) = v
-      }
-      var i = 0
-      while (i < n) { k(i, i) += noise2 + jitter; i += 1 }
+      val a = gram.copy
+      i = 0
+      while (i < n) { a(i, i) += noise2 + jitter; i += 1 }
       try {
-        val l = Mat.cholesky(k)
-        val a = Mat.choleskySolve(l, yStdz)
-        result = new GaussianProcess(kernel, xa, ya, logHypers.clone(), l, a, yMean, yStd)
+        val l = Mat.cholesky(a)
+        val alpha = Mat.choleskySolve(l, yStdz)
+        result = new GaussianProcess(kernel, xa, ya, logHypers.clone(), k, l, alpha, yMean, yStd)
       } catch {
         case _: IllegalArgumentException if attempt < 6 =>
           jitter *= 100.0; attempt += 1

@@ -9,37 +9,53 @@ package repro.gp
 sealed trait GpKernel {
   /** Number of hyperparameters for input dimensionality d. */
   def nHypers(d: Int): Int
-  def apply(x: Array[Double], y: Array[Double], logHypers: Array[Double]): Double
+
+  /** This kernel at fixed log-hyperparameters, with σf² and the lengthscales
+    * exponentiated once rather than on every evaluation. Entries after the
+    * kernel's own (the GP appends its noise) are ignored.
+    */
+  def at(logHypers: Array[Double]): GpKernel.Prepared
+
+  def apply(x: Array[Double], y: Array[Double], logHypers: Array[Double]): Double = at(logHypers)(x, y)
 }
 
 object GpKernel {
-  private def sqDistScaled(x: Array[Double], y: Array[Double], logHypers: Array[Double], ard: Boolean): Double = {
-    var s = 0.0; var i = 0
-    while (i < x.length) {
-      val l = math.exp(if (ard) logHypers(1 + i) else logHypers(1))
-      val d = (x(i) - y(i)) / l
-      s += d * d; i += 1
+  /** A kernel with its hyperparameters fixed; see [[GpKernel.at]]. */
+  sealed abstract class Prepared(logHypers: Array[Double], ard: Boolean) {
+    protected final val sf2: Double = math.exp(2.0 * logHypers(0))
+    // ARD: ℓ of coordinate i at i; isotropic: the one ℓ at 0
+    private val ls: Array[Double] = logHypers.tail.map(math.exp)
+
+    // Divides by ℓ and sums (d/ℓ)² coordinate by coordinate: multiplying by
+    // 1/ℓ or summing d²/ℓ² would round differently.
+    protected final def sqDistScaled(x: Array[Double], y: Array[Double]): Double = {
+      var s = 0.0; var i = 0
+      if (ard) while (i < x.length) { val d = (x(i) - y(i)) / ls(i); s += d * d; i += 1 }
+      else { val l = ls(0); while (i < x.length) { val d = (x(i) - y(i)) / l; s += d * d; i += 1 } }
+      s
     }
-    s
+
+    def apply(x: Array[Double], y: Array[Double]): Double
   }
+
+  private val Sqrt5 = math.sqrt(5.0)
 
   /** Squared-exponential (Gaussian / RBF) kernel. */
   final case class SquaredExp(ard: Boolean) extends GpKernel {
     def nHypers(d: Int): Int = if (ard) 1 + d else 2
-    def apply(x: Array[Double], y: Array[Double], logHypers: Array[Double]): Double = {
-      val sf2 = math.exp(2.0 * logHypers(0))
-      sf2 * math.exp(-0.5 * sqDistScaled(x, y, logHypers, ard))
+    def at(logHypers: Array[Double]): Prepared = new Prepared(logHypers, ard) {
+      def apply(x: Array[Double], y: Array[Double]): Double = sf2 * math.exp(-0.5 * sqDistScaled(x, y))
     }
   }
 
   /** Matern 5/2 — the standard choice for BO over machine configurations. */
   final case class Matern52(ard: Boolean) extends GpKernel {
     def nHypers(d: Int): Int = if (ard) 1 + d else 2
-    def apply(x: Array[Double], y: Array[Double], logHypers: Array[Double]): Double = {
-      val sf2 = math.exp(2.0 * logHypers(0))
-      val r = math.sqrt(sqDistScaled(x, y, logHypers, ard))
-      val a = math.sqrt(5.0) * r
-      sf2 * (1.0 + a + a * a / 3.0) * math.exp(-a)
+    def at(logHypers: Array[Double]): Prepared = new Prepared(logHypers, ard) {
+      def apply(x: Array[Double], y: Array[Double]): Double = {
+        val a = Sqrt5 * math.sqrt(sqDistScaled(x, y))
+        sf2 * (1.0 + a + a * a / 3.0) * math.exp(-a)
+      }
     }
   }
 }

@@ -97,6 +97,18 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
+  test("golden: BoSearch trial costs equal those recorded before batched EI scoring") {
+    val obj = TestObjectives.synthetic(22)
+    val plain = BoSearch.run(obj, obj.space, 100.0, new Random(22), nInit = 3, nIter = 6)
+    assert(plain.trials.map(_.costSeconds) == Seq(26.44860352828574, 70.80477311918, 70.0246327370958,
+      24.31422953608245, 24.300536720993968, 23.254750487414576, 23.26738655995211, 27.76693979872929,
+      21.729931608691263))
+    val filtered = BoSearch.run(obj, obj.space, 100.0, new Random(23), nInit = 0, nIter = 6,
+      candidateFilter = (c: ConfigValues) => c("knob.one") <= 50.0)
+    assert(filtered.trials.map(_.costSeconds) == Seq(85.41096089055736, 64.21731500309139, 58.105902673928426,
+      50.47280278935142, 41.72179378229026, 41.6108368075748, 38.49029133442764))
+  }
+
   test("BoSearch candidateFilter is honored") {
     val obj = TestObjectives.synthetic(9)
     val filter = (c: ConfigValues) => c("knob.one") <= 50.0

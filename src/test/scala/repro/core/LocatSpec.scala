@@ -73,6 +73,38 @@ class LocatSpec extends AnyFunSuite {
     assert(exp < 31.0, s"expected at 400GB: $exp (optimum 28)")
   }
 
+  test("tuneNext reports only its own trials, whose costs sum to its optimizationSeconds") {
+    val obj = freshObjective(10)
+    val session = new LocatSession(obj, obj.space, seed = 10, nQcsa = 12, nIicp = 10,
+      minIter = 4, maxIter = 6, nextMinIter = 2, nextMaxIter = 4)
+    val first = session.tuneInitial(100.0)
+    val next = session.tuneNext(300.0)
+    assert(next.trials.forall(_.datasizeGB == 300.0))
+    assert(next.trials.size >= 3 && next.trials.size <= 5) // 2–4 RQA iterations + the verify run
+    assert(next.trials.exists(_.conf == next.bestConf))
+    val sum = next.trials.map(_.costSeconds).sum
+    assert(math.abs(sum - next.optimizationSeconds) < 1e-9 * next.optimizationSeconds,
+      s"trials sum to $sum, reported ${next.optimizationSeconds}")
+    assert(math.abs(first.optimizationSeconds + next.optimizationSeconds - session.cumulativeOptimizationSeconds) < 1e-9)
+  }
+
+  test("golden: a fixed-seed session returns the configurations and costs recorded before batched EI scoring") {
+    val obj = freshObjective(21)
+    val session = new LocatSession(obj, obj.space, seed = 21, nQcsa = 12, nIicp = 10,
+      minIter = 4, maxIter = 6, nextMinIter = 2, nextMaxIter = 4)
+    val first = session.tuneInitial(100.0)
+    val next = session.tuneNext(300.0)
+    assert(first.bestConf.values == Map("knob.one" -> 99.0, "knob.two" -> 0.09046911820000547, "noise.a" -> 8.0,
+      "noise.b" -> 0.8302267814250033, "noise.c" -> 0.0, "noise.d" -> 186.0))
+    assert(first.optimizationSeconds == 502.7355580288374)
+    assert(first.bestTimeSeconds == 22.37517780500486)
+    assert(next.bestConf.values == Map("knob.one" -> 78.0, "knob.two" -> 0.28773568679268835, "noise.a" -> 2.0,
+      "noise.b" -> 0.5, "noise.c" -> 1.0, "noise.d" -> 105.0))
+    assert(next.optimizationSeconds == 77.60951117857002)
+    assert(next.bestTimeSeconds == 34.06043988930186)
+    assert(session.cumulativeOptimizationSeconds == 580.3450692074074)
+  }
+
   test("tuneInitial can only run once; tuneNext requires tuneInitial") {
     val obj = freshObjective(8)
     val s1 = new LocatSession(obj, obj.space, seed = 8, nQcsa = 15, nIicp = 12, minIter = 3, maxIter = 5)

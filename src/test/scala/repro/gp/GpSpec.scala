@@ -1,7 +1,84 @@
 package repro.gp
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.linalg.Mat
+import repro.stats.Stats
 import scala.util.Random
+
+/** The GP as it was before kernels were prepared and predictions batched:
+  * exponentials taken per coordinate, one point predicted at a time. The
+  * exact-equality tests below hold the optimized code to these results.
+  */
+private object ReferenceGp {
+  def kernel(k: GpKernel, x: Array[Double], y: Array[Double], h: Array[Double]): Double = {
+    val ard = k match { case GpKernel.SquaredExp(a) => a; case GpKernel.Matern52(a) => a }
+    var s = 0.0; var i = 0
+    while (i < x.length) {
+      val l = math.exp(if (ard) h(1 + i) else h(1))
+      val d = (x(i) - y(i)) / l
+      s += d * d; i += 1
+    }
+    val sf2 = math.exp(2.0 * h(0))
+    k match {
+      case _: GpKernel.SquaredExp => sf2 * math.exp(-0.5 * s)
+      case _: GpKernel.Matern52 =>
+        val a = math.sqrt(5.0) * math.sqrt(s)
+        sf2 * (1.0 + a + a * a / 3.0) * math.exp(-a)
+    }
+  }
+
+  final class Fitted(k: GpKernel, x: Array[Array[Double]], h: Array[Double], chol: Mat,
+                     alpha: Array[Double], yMean: Double, yStd: Double, val jitterEscalations: Int) {
+    def predict(xs: Array[Double]): (Double, Double) = {
+      val n = x.length
+      val kStar = Array.tabulate(n)(i => kernel(k, xs, x(i), h))
+      var mu = 0.0
+      var i = 0
+      while (i < n) { mu += kStar(i) * alpha(i); i += 1 }
+      val v = Mat.solveLower(chol, kStar)
+      var kss = kernel(k, xs, xs, h)
+      i = 0
+      while (i < n) { kss -= v(i) * v(i); i += 1 }
+      (mu * yStd + yMean, math.sqrt(math.max(kss, 1e-12)) * yStd)
+    }
+  }
+
+  def fit(k: GpKernel, x: Array[Array[Double]], y: Array[Double], h: Array[Double]): Fitted = {
+    val n = x.length
+    val yMean = y.sum / n
+    val yStd0 = math.sqrt(y.map(v => (v - yMean) * (v - yMean)).sum / n)
+    val yStd = if (yStd0 < 1e-12) 1.0 else yStd0
+    val yStdz = y.map(v => (v - yMean) / yStd)
+    val noise2 = math.exp(2.0 * h.last)
+    var jitter = 1e-10
+    var attempt = 0
+    while (true) {
+      val m = Mat.zeros(n, n)
+      for (i <- 0 until n; j <- i until n) { val v = kernel(k, x(i), x(j), h); m(i, j) = v; m(j, i) = v }
+      (0 until n).foreach(i => m(i, i) += noise2 + jitter)
+      try {
+        val l = Mat.cholesky(m)
+        return new Fitted(k, x, h, l, Mat.choleskySolve(l, yStdz), yMean, yStd, attempt)
+      } catch {
+        case _: IllegalArgumentException if attempt < 6 => jitter *= 100.0; attempt += 1
+      }
+    }
+    throw new IllegalStateException("unreachable")
+  }
+
+  def of(gp: GaussianProcess): Fitted = fit(gp.kernel, gp.x, gp.yRaw, gp.logHypers)
+
+  def ei(gps: Seq[GaussianProcess], x: Array[Double], best: Double): Double = {
+    var tot = 0.0
+    gps.foreach { gp =>
+      val (mu, sd) = of(gp).predict(x)
+      val imp = best - mu
+      tot += (if (sd < 1e-12) math.max(imp, 0.0)
+              else imp * Stats.normCdf(imp / sd) + sd * Stats.normPdf(imp / sd))
+    }
+    tot / gps.size
+  }
+}
 
 class GpSpec extends AnyFunSuite {
 
@@ -66,7 +143,55 @@ class GpSpec extends AnyFunSuite {
     assert(m52(x, y, h) > seKernel(x, y, h))
   }
 
+  test("a prepared kernel equals the kernel evaluated from log-hypers, bit for bit") {
+    val rng = new Random(11)
+    for (k <- Seq(seKernel, m52, GpKernel.SquaredExp(ard = true), GpKernel.Matern52(ard = true));
+         d <- Seq(1, 4, 39); _ <- 0 until 20) {
+      val h = Array.fill(k.nHypers(d) + 1)(rng.nextGaussian()) // + the GP's trailing noise entry
+      val prepared = k.at(h)
+      val x = Array.fill(d)(rng.nextDouble())
+      val y = Array.fill(d)(rng.nextDouble())
+      assert(prepared(x, y) == k(x, y, h))
+      assert(prepared(x, y) == ReferenceGp.kernel(k, x, y, h))
+      assert(prepared(x, x) == ReferenceGp.kernel(k, x, x, h))
+    }
+  }
+
   // --- GP regression -----------------------------------------------------------
+
+  test("predictBatch equals one-point-at-a-time prediction exactly") {
+    val rng = new Random(12)
+    val d = 6
+    for (k <- Seq(m52, GpKernel.SquaredExp(ard = true)); n <- Seq(1, 5, 80); m <- Seq(1, 7, 416)) {
+      val xs = Array.fill(n)(Array.fill(d)(rng.nextDouble()))
+      val ys = xs.map(x => math.sin(3 * x(0)) + x(1) + 0.1 * rng.nextGaussian())
+      val h = Array.fill(k.nHypers(d) + 1)(0.5 * rng.nextGaussian())
+      val gp = GaussianProcess.fit(k, xs.toSeq, ys.toSeq, h)
+      val ref = ReferenceGp.fit(k, xs, ys, h)
+      val pool = Array.fill(m)(Array.fill(d)(rng.nextDouble()))
+      val (mu, sd) = gp.predictBatch(pool)
+      pool.indices.foreach { c =>
+        assert((mu(c), sd(c)) == ref.predict(pool(c)), s"kernel $k n=$n m=$m candidate $c")
+        assert(gp.predict(pool(c)) == ref.predict(pool(c)))
+      }
+    }
+  }
+
+  test("predictBatch stays exact on a fit that needed jitter escalation") {
+    // 40 near-duplicate points under a huge signal variance: the first
+    // Cholesky attempts fail and the fit escalates the diagonal jitter
+    val rng = new Random(13)
+    val xs = Array.fill(40)(Array(0.5 + 1e-6 * rng.nextDouble()))
+    val ys = xs.map(x => x(0) + 1e-3 * rng.nextGaussian())
+    val h = Array(8.0, math.log(0.3), -30.0)
+    val gp = GaussianProcess.fit(m52, xs.toSeq, ys.toSeq, h)
+    val ref = ReferenceGp.fit(m52, xs, ys, h)
+    assert(ref.jitterEscalations > 0)
+    val pool = Array.fill(7)(Array(rng.nextDouble()))
+    val (mu, sd) = gp.predictBatch(pool)
+    pool.indices.foreach(c => assert((mu(c), sd(c)) == ref.predict(pool(c))))
+  }
+
 
   test("GP interpolates training points with tiny noise") {
     val xs = Seq(Array(0.1), Array(0.4), Array(0.7), Array(0.95))
@@ -148,6 +273,28 @@ class GpSpec extends AnyFunSuite {
     val (mu, sd) = model.predict(Array(0.5, 0.5))
     assert(!mu.isNaN && !sd.isNaN && sd >= 0)
     assert(model.gps.size == 4)
+  }
+
+  test("eiBatch and the mixture predictBatch equal per-point EI and prediction exactly") {
+    val rng = new Random(14)
+    val xs = (0 until 30).map(_ => Array.fill(4)(rng.nextDouble()))
+    val ys = xs.map(x => x(0) * x(0) + math.sin(4 * x(1)) + 0.05 * rng.nextGaussian())
+    val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 4, nBurn = 8)
+    val best = ys.min
+    val pool = Array.fill(416)(Array.fill(4)(rng.nextDouble()))
+    val eis = model.eiBatch(pool, best)
+    val (mu, sd) = model.predictBatch(pool)
+    pool.indices.foreach { c =>
+      assert(eis(c) == ReferenceGp.ei(model.gps, pool(c), best))
+      assert(eis(c) == model.ei(pool(c), best))
+      val ms = model.gps.map(gp => ReferenceGp.of(gp).predict(pool(c)))
+      val refMu = ms.map(_._1).sum / ms.size
+      val second = ms.map { case (m, s) => s * s + m * m }.sum / ms.size
+      assert((mu(c), sd(c)) == ((refMu, math.sqrt(math.max(second - refMu * refMu, 1e-12)))))
+      assert(model.predict(pool(c)) == ((mu(c), sd(c))))
+    }
+    val (i, e) = model.maxEi(pool, best)
+    assert(e == eis.max && i == eis.indexOf(eis.max))
   }
 
   test("argmaxEi returns a point in the unit cube with non-negative EI") {
