@@ -29,15 +29,18 @@ final class SparkObjective(
   override def workloadName: String = name
   override def queries: Seq[String] = queriesToRun.map(_.id)
 
-  /** Set every tunable parameter on the session; unknown keys are skipped
-    * (recorded in `skippedKeys`) so paper-era names that no longer exist in
-    * Spark 4.x cannot crash a tuning run.
+  /** Set every runtime-settable parameter on the session. Other keys (the
+    * cluster-level parameters, names outside `settable`, and keys this Spark
+    * rejects) are skipped and recorded in `skippedKeys`, so a tuning run
+    * cannot crash on them and cannot silently "tune" them either.
     */
   def applyConf(conf: ConfigValues): Unit = {
     conf.values.foreach { case (key, v) =>
-      SparkObjective.settable.get(key).foreach { render =>
-        try spark.conf.set(key, render(v))
-        catch { case _: Exception => SparkObjective.recordSkipped(key) }
+      SparkObjective.settable.get(key) match {
+        case Some(render) =>
+          try spark.conf.set(key, render(v))
+          catch { case _: Exception => SparkObjective.recordSkipped(key) }
+        case None => SparkObjective.recordSkipped(key)
       }
     }
   }

@@ -109,6 +109,37 @@ class BaselinesSpec extends AnyFunSuite {
       50.47280278935142, 41.72179378229026, 41.6108368075748, 38.49029133442764))
   }
 
+  test("golden: Tuneful trial costs equal those recorded before GBRT presorting") {
+    val obj = TestObjectives.synthetic(24)
+    val r = new Tuneful(saRounds = 1, samplesPerRound = 10, keepParams = 3, boIters = 4).tune(obj, obj.space, 100.0, 24)
+    assert(r.trials.map(_.costSeconds) == Seq(61.4238786170226, 31.076727693907248, 23.004666559748802,
+      62.372219349622476, 53.621608346585845, 24.27288666764855, 24.66758424679029, 50.256258913402334,
+      104.473209158444, 59.16755472318074, 123.04643433892701, 25.05687051462764, 43.72111046089964,
+      26.668457418970124, 22.754931606982673, 25.91371282086243, 28.294883192536872))
+  }
+
+  test("golden: DAC trial costs equal those recorded before GBRT presorting") {
+    val obj = TestObjectives.synthetic(25)
+    val r = new Dac(nSamples = 30, gaCandidates = 3, nTrees = 30).tune(obj, obj.space, 100.0, 25)
+    assert(r.trials.size == 33)
+    // the 30 random samples do not depend on the model; the 3 GA candidates do
+    assert(r.trials.drop(30).map(_.costSeconds) == Seq(22.557608775787354, 22.590226544572477, 22.073557042773047))
+  }
+
+  test("golden: QTune trial costs equal those recorded before GBRT presorting") {
+    val obj = TestObjectives.synthetic(26)
+    val r = new QTuneRl(episodes = 40, criticRefit = 10).tune(obj, obj.space, 100.0, 26)
+    assert(r.trials.map(_.costSeconds) == Seq(40.15031466749671, 31.579134812367272, 25.361807503116886,
+      37.05206839964738, 24.670792484736072, 44.18474032386017, 26.982075689268903, 51.03223482785481,
+      31.849674173035577, 36.34551743564178, 25.179112497968767, 22.116795543688085, 71.70634330676066,
+      72.11286030637469, 22.26743279900809, 22.302686731299374, 22.01726570027173, 21.937535993830107,
+      24.304432266213986, 21.937646697719444, 24.25248269796993, 23.014085123374006, 23.479965909997034,
+      23.070600710562235, 106.69500059529682, 22.180490224976054, 22.068732547931976, 22.122278171131654,
+      21.846258444554117, 22.258488461472155, 21.86456788763203, 22.00462501248564, 22.123250520225767,
+      22.16837292689252, 22.29542542307478, 22.111921894491502, 22.645679327528867, 22.422945725396303,
+      21.955757251885245, 21.9515622279516))
+  }
+
   test("BoSearch candidateFilter is honored") {
     val obj = TestObjectives.synthetic(9)
     val filter = (c: ConfigValues) => c("knob.one") <= 50.0

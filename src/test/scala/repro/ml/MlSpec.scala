@@ -1,6 +1,8 @@
 package repro.ml
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
+import repro.core.ConfigSpace
 import repro.stats.Stats
 import scala.util.Random
 
@@ -85,6 +87,83 @@ class MlSpec extends AnyFunSuite {
     assert(g.trees.size == 1)
   }
 
+  test("gbrt rejects fewer than one tree") {
+    val xs = Seq(Array(0.0), Array(1.0), Array(2.0), Array(3.0))
+    intercept[IllegalArgumentException](Gbrt.fit(xs, Seq(1.0, 2.0, 3.0, 4.0), nTrees = 0))
+  }
+
+  // --- presorted builder == per-node sorting builder, bit for bit ---------------
+
+  private def bits(v: Seq[Double]): Seq[Long] = v.map(java.lang.Double.doubleToRawLongBits)
+
+  private def assertSameTree(xs: Seq[Array[Double]], ys: Seq[Double], probe: Seq[Array[Double]],
+                             maxDepth: Int, minLeaf: Int): Unit = {
+    val t = RegressionTree.fit(xs, ys, maxDepth, minLeaf)
+    val r = PerNodeSortReference.fitTree(xs, ys, maxDepth, minLeaf)
+    assert(bits(probe.map(t.predict)) == bits(probe.map(r.predict)))
+    assert(bits(t.featureImportance.toSeq) == bits(r.featureImportance.toSeq))
+  }
+
+  private def assertSameGbrt(xs: Seq[Array[Double]], ys: Seq[Double], probe: Seq[Array[Double]],
+                             nTrees: Int, maxDepth: Int, minLeaf: Int = 3): Unit = {
+    val g = Gbrt.fit(xs, ys, nTrees = nTrees, maxDepth = maxDepth, minSamplesLeaf = minLeaf)
+    val r = PerNodeSortReference.fitGbrt(xs, ys, nTrees, maxDepth, 0.1, minLeaf)
+    assert(g.trees.size == nTrees)
+    assert(bits(probe.map(g.predict)) == bits(probe.map(r.predict)))
+    assert(bits(g.featureImportance.toSeq) == bits(r.featureImportance.toSeq))
+  }
+
+  /** Encoded random configurations of the full space: integer and boolean
+    * parameters put many rows on the same feature value.
+    */
+  private def configRows(n: Int, rng: Random): Seq[Array[Double]] = {
+    val space = ConfigSpace.full(arm = true)
+    Seq.fill(n)(space.encode(space.random(rng)))
+  }
+
+  test("presorted tree equals the per-node sorting tree on continuous data") {
+    val rng = new Random(12)
+    val xs = Seq.fill(150)(Array.fill(5)(rng.nextDouble()))
+    val ys = xs.map(x => math.sin(4 * x(0)) + x(1) * x(2) + 0.1 * rng.nextGaussian())
+    val probe = xs ++ Seq.fill(100)(Array.fill(5)(rng.nextDouble()))
+    Seq(1, 3, 6).foreach(depth => assertSameTree(xs, ys, probe, depth, 3))
+    assertSameGbrt(xs, ys, probe, nTrees = 40, maxDepth = 3)
+  }
+
+  test("presorted tree equals the per-node sorting tree on tie-heavy config encodings") {
+    val rng = new Random(13)
+    val xs = configRows(200, rng)
+    // few distinct targets, so equal y values meet equal x values
+    val ys = xs.map(x => math.round(4 * x(0) + 3 * x(10) + 2 * x(30) + x(37)).toDouble)
+    val probe = xs ++ configRows(100, rng)
+    Seq(2, 4, 8).foreach(depth => assertSameTree(xs, ys, probe, depth, 3))
+    assertSameGbrt(xs, ys, probe, nTrees = 30, maxDepth = 4)
+  }
+
+  test("presorted tree equals the per-node sorting tree at minSamplesLeaf edges") {
+    val rng = new Random(14)
+    val xs = Seq.fill(12)(Array(rng.nextInt(4).toDouble, rng.nextDouble(), rng.nextInt(2).toDouble))
+    val ys = xs.map(x => x(0) * 2 + x(2) + rng.nextGaussian())
+    val probe = xs ++ Seq.fill(40)(Array(rng.nextInt(5) - 0.5, rng.nextDouble(), rng.nextDouble()))
+    // 0 and 1 allow single-row leaves; 6 allows one split of 12 rows; 7 allows none
+    Seq(0, 1, 2, 5, 6, 7).foreach(minLeaf => assertSameTree(xs, ys, probe, 10, minLeaf))
+    assertSameGbrt(xs, ys, probe, nTrees = 10, maxDepth = 10, minLeaf = 1)
+  }
+
+  test("presorted gbrt equals the per-node sorting gbrt at the DAC and QTune shapes") {
+    val rng = new Random(15)
+    val sim = new SparkClusterSimulator(Workloads.tpcds, ClusterProfile.arm, 15)
+    val space = ConfigSpace.full(arm = true)
+    val confs = Seq.fill(240)(space.random(rng))
+    val logT = confs.map(c => math.log(sim.run(c, 300.0).totalSeconds))
+    val units = confs.map(space.encode)
+    val probe = configRows(200, rng)
+    // DAC: 38 parameters plus datasize, 120 trees of depth 4
+    assertSameGbrt(units.map(_ :+ 0.3), logT, (units ++ probe).map(_ :+ 0.3), nTrees = 120, maxDepth = 4)
+    // QTune's critic: 38 parameters, 60 trees of depth 3
+    assertSameGbrt(units.take(165), logT.take(165), units ++ probe, nTrees = 60, maxDepth = 3)
+  }
+
   // --- linear / logistic --------------------------------------------------------
 
   test("OLS recovers exact linear coefficients") {
@@ -163,5 +242,111 @@ class MlSpec extends AnyFunSuite {
     val short = Ga.minimize(f, 1, new Random(11), popSize = 10, generations = 5)
     val long = Ga.minimize(f, 1, new Random(11), popSize = 10, generations = 50)
     assert(long.bestFitness <= short.bestFitness + 1e-12)
+  }
+}
+
+/** The tree and GBRT builders as they were before per-fit presorting: every
+  * node re-sorts its members per feature. Kept verbatim as the reference the
+  * presorted builder must match bit for bit.
+  */
+private object PerNodeSortReference {
+  import RegressionTree.{Leaf, Node, Split}
+
+  final class Tree(root: Node, nFeatures: Int) {
+    def predict(x: Array[Double]): Double = walk(root, x)
+    def featureImportance: Array[Double] = {
+      val imp = new Array[Double](nFeatures)
+      def rec(n: Node): Unit = n match {
+        case Split(f, _, gain, l, r) => imp(f) += gain; rec(l); rec(r)
+        case _ => ()
+      }
+      rec(root)
+      imp
+    }
+  }
+
+  final class Boosted(trees: Seq[Tree], base: Double, learningRate: Double, nFeatures: Int) {
+    def predict(x: Array[Double]): Double =
+      base + trees.iterator.map(_.predict(x)).sum * learningRate
+    def featureImportance: Array[Double] = {
+      val imp = new Array[Double](nFeatures)
+      trees.foreach { t =>
+        val ti = t.featureImportance
+        var i = 0
+        while (i < nFeatures) { imp(i) += ti(i); i += 1 }
+      }
+      val tot = imp.sum
+      if (tot <= 0) imp else imp.map(_ / tot)
+    }
+  }
+
+  @annotation.tailrec
+  private def walk(n: Node, x: Array[Double]): Double = n match {
+    case Leaf(v) => v
+    case Split(f, t, _, l, r) => if (x(f) <= t) walk(l, x) else walk(r, x)
+  }
+
+  def fitTree(x: Seq[Array[Double]], y: Seq[Double], maxDepth: Int, minSamplesLeaf: Int): Tree = {
+    val xa = x.toArray; val ya = y.toArray
+    new Tree(build(xa.indices.toArray, xa, ya, maxDepth, minSamplesLeaf), xa.head.length)
+  }
+
+  def fitGbrt(x: Seq[Array[Double]], y: Seq[Double], nTrees: Int, maxDepth: Int, learningRate: Double,
+              minSamplesLeaf: Int): Boosted = {
+    val base = y.sum / y.size
+    val residual = y.map(_ - base).toArray
+    val trees = scala.collection.mutable.ArrayBuffer.empty[Tree]
+    var m = 0
+    while (m < nTrees) {
+      val t = fitTree(x, residual.toSeq, maxDepth, minSamplesLeaf)
+      var i = 0
+      while (i < residual.length) { residual(i) -= learningRate * t.predict(x(i)); i += 1 }
+      trees += t
+      m += 1
+    }
+    new Boosted(trees.toSeq, base, learningRate, x.head.length)
+  }
+
+  private def build(idx: Array[Int], x: Array[Array[Double]], y: Array[Double],
+                    depth: Int, minLeaf: Int): Node = {
+    val meanY = idx.map(y).sum / idx.length
+    if (depth == 0 || idx.length < 2 * minLeaf) return Leaf(meanY)
+    val sse = idx.map(i => (y(i) - meanY) * (y(i) - meanY)).sum
+    if (sse < 1e-12) return Leaf(meanY)
+
+    var bestGain = 0.0
+    var bestF = -1
+    var bestT = 0.0
+    val d = x(idx(0)).length
+    var f = 0
+    while (f < d) {
+      val sorted = idx.sortBy(i => x(i)(f))
+      var leftSum = 0.0; var leftSq = 0.0
+      val totSum = sorted.map(y).sum
+      val totSq = sorted.map(i => y(i) * y(i)).sum
+      var k = 0
+      while (k < sorted.length - 1) {
+        val i = sorted(k)
+        leftSum += y(i); leftSq += y(i) * y(i)
+        val nl = k + 1; val nr = sorted.length - nl
+        val xk = x(i)(f); val xk1 = x(sorted(k + 1))(f)
+        if (xk < xk1 && nl >= minLeaf && nr >= minLeaf) {
+          val rightSum = totSum - leftSum; val rightSq = totSq - leftSq
+          val sseL = leftSq - leftSum * leftSum / nl
+          val sseR = rightSq - rightSum * rightSum / nr
+          val gain = sse - sseL - sseR
+          if (gain > bestGain) { bestGain = gain; bestF = f; bestT = (xk + xk1) / 2.0 }
+        }
+        k += 1
+      }
+      f += 1
+    }
+    if (bestF < 0) Leaf(meanY)
+    else {
+      val (li, ri) = idx.partition(i => x(i)(bestF) <= bestT)
+      Split(bestF, bestT, bestGain,
+        build(li, x, y, depth - 1, minLeaf),
+        build(ri, x, y, depth - 1, minLeaf))
+    }
   }
 }

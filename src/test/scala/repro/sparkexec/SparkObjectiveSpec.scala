@@ -2,7 +2,7 @@ package repro.sparkexec
 
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, SynthData}
-import repro.core.ConfigValues
+import repro.core.{ConfigSpace, ConfigValues}
 
 class SparkObjectiveSpec extends SparkSpec {
 
@@ -56,6 +56,15 @@ class SparkObjectiveSpec extends SparkSpec {
     objective.applyConf(SparkObjective.runtimeSpace.defaults)
     val notSettable = SparkObjective.runtimeSpace.names.toSet intersect SparkObjective.skippedKeys
     assert(notSettable.isEmpty, s"not settable in this Spark: $notSettable")
+    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
+  }
+
+  test("keys outside the runtime-settable set are recorded in skippedKeys") {
+    objective.applyConf(ConfigSpace.full(arm = true).defaults)
+    assert(SparkObjective.skippedKeys.contains("spark.executor.memory"))
+    assert((SparkObjective.runtimeSpace.names.toSet intersect SparkObjective.skippedKeys).isEmpty)
+    // restore the shared session's settings for other suites
+    objective.applyConf(SparkObjective.runtimeSpace.defaults)
     spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
   }
 
