@@ -21,6 +21,7 @@ final class GaussianProcess private (
     yStd: Double,
 ) {
   private val n = x.length
+  private val d = x(0).length
 
   /** Predictive mean and standard deviation at `xs`, on the raw target scale. */
   def predict(xs: Array[Double]): (Double, Double) = {
@@ -29,36 +30,82 @@ final class GaussianProcess private (
   }
 
   /** Predictive means and standard deviations at every point of `xs`, on the
-    * raw target scale (GPML Alg. 2.1). Each candidate's forward substitution
-    * L·v = k* follows `Mat.solveLower`'s operation order, so its prediction
-    * does not depend on the batch it is scored in.
+    * raw target scale (GPML Alg. 2.1). Candidates are scored in blocks of up
+    * to 64, candidate-major: k*, k*ᵀα and the forward substitution L·v = k*
+    * advance one training row at a time for the whole block. Each candidate
+    * keeps the one-candidate operation order (`Mat.solveLower`'s), so its
+    * prediction does not depend on the batch it is scored in.
     */
   def predictBatch(xs: Array[Array[Double]]): (Array[Double], Array[Double]) = {
-    val mu = new Array[Double](xs.length)
-    val sd = new Array[Double](xs.length)
-    val l = chol.data
-    val v = new Array[Double](n)
+    val m = xs.length
     var c = 0
-    while (c < xs.length) {
-      val xc = xs(c)
-      var kAlpha = 0.0
-      var kss = k(xc, xc)
-      var i = 0
+    while (c < m) {
+      require(xs(c).length == d, s"candidate $c has ${xs(c).length} coordinates, the GP was fit on $d")
+      c += 1
+    }
+    val mu = new Array[Double](m)
+    val sd = new Array[Double](m)
+    val bs = math.min(GaussianProcess.Block, m)
+    // One array per coordinate (xt) and per training row (v), indexed by the
+    // candidate's place in the block: every inner loop over c then indexes
+    // all its arrays by c alone, the shape C2 vectorizes.
+    val xt = new Array[Array[Double]](d)
+    var t = 0
+    while (t < d) { xt(t) = new Array[Double](bs); t += 1 }
+    val v = new Array[Array[Double]](n)
+    var i = 0
+    while (i < n) { v(i) = new Array[Double](bs); i += 1 }
+    val r2 = new Array[Double](bs)
+    val s = new Array[Double](bs)
+    val kAlpha = new Array[Double](bs)
+    val kss = new Array[Double](bs)
+    val l = chol.data
+    var start = 0
+    while (start < m) {
+      val mb = math.min(bs, m - start)
+      c = 0
+      while (c < mb) {
+        val xc = xs(start + c)
+        t = 0
+        while (t < d) { xt(t)(c) = xc(t); t += 1 }
+        kAlpha(c) = 0.0
+        kss(c) = k(xc, xc)
+        c += 1
+      }
+      i = 0
       while (i < n) {
-        val ki = k(xc, x(i))
-        kAlpha += ki * alpha(i)
+        val xi = x(i)
+        java.util.Arrays.fill(r2, 0.0)
+        t = 0
+        while (t < d) {
+          val xtt = xt(t); val xit = xi(t); val lt = k.lengthscale(t)
+          c = 0
+          while (c < mb) { val dt = (xtt(c) - xit) / lt; r2(c) += dt * dt; c += 1 }
+          t += 1
+        }
+        val ai = alpha(i)
+        c = 0
+        while (c < mb) { val ki = k.atSqDist(r2(c)); kAlpha(c) += ki * ai; s(c) = ki; c += 1 }
         val row = i * n
-        var s = ki
         var j = 0
-        while (j < i) { s -= l(row + j) * v(j); j += 1 }
-        s = s / l(row + i)
-        v(i) = s
-        kss -= s * s
+        while (j < i) {
+          val lij = l(row + j); val vj = v(j)
+          c = 0
+          while (c < mb) { s(c) -= lij * vj(c); c += 1 }
+          j += 1
+        }
+        val lii = l(row + i); val vi = v(i)
+        c = 0
+        while (c < mb) { val q = s(c) / lii; vi(c) = q; kss(c) -= q * q; c += 1 }
         i += 1
       }
-      mu(c) = kAlpha * yStd + yMean
-      sd(c) = math.sqrt(math.max(kss, 1e-12)) * yStd
-      c += 1
+      c = 0
+      while (c < mb) {
+        mu(start + c) = kAlpha(c) * yStd + yMean
+        sd(start + c) = math.sqrt(math.max(kss(c), 1e-12)) * yStd
+        c += 1
+      }
+      start += mb
     }
     (mu, sd)
   }
@@ -82,11 +129,12 @@ object GaussianProcess {
     */
   def fit(kernel: GpKernel, x: Seq[Array[Double]], y: Seq[Double], logHypers: Array[Double]): GaussianProcess = {
     require(x.nonEmpty && x.size == y.size, "GP needs equal non-empty x/y")
-    val d = x.head.length
-    require(logHypers.length == kernel.nHypers(d) + 1,
-      s"expected ${kernel.nHypers(d) + 1} log-hypers (kernel + noise), got ${logHypers.length}")
     val n = x.size
     val xa = x.toArray
+    val d = xa(0).length
+    require(xa.forall(_.length == d), s"every training row needs the first row's $d coordinates")
+    require(logHypers.length == kernel.nHypers(d) + 1,
+      s"expected ${kernel.nHypers(d) + 1} log-hypers (kernel + noise), got ${logHypers.length}")
     val ya = y.toArray
     val yMean = ya.sum / n
     val yStd0 = math.sqrt(ya.map(v => (v - yMean) * (v - yMean)).sum / n)
@@ -95,11 +143,33 @@ object GaussianProcess {
     val noise2 = math.exp(2.0 * logHypers.last)
     val k = kernel.at(logHypers)
 
+    // Upper triangle row by row from the transposed training set, so the
+    // loop over j ≥ i indexes xt(t) and r2 by j alone; the operands keep
+    // k(x_i, x_j)'s order, (x_i(t) − x_j(t)) / ℓ_t.
+    val xt = new Array[Array[Double]](d)
+    var t = 0
+    while (t < d) {
+      val col = new Array[Double](n)
+      var j = 0
+      while (j < n) { col(j) = xa(j)(t); j += 1 }
+      xt(t) = col
+      t += 1
+    }
     val gram = Mat.zeros(n, n)
+    val r2 = new Array[Double](n)
     var i = 0
     while (i < n) {
+      val xi = xa(i)
+      java.util.Arrays.fill(r2, i, n, 0.0)
+      t = 0
+      while (t < d) {
+        val xtt = xt(t); val xit = xi(t); val lt = k.lengthscale(t)
+        var j = i
+        while (j < n) { val dt = (xit - xtt(j)) / lt; r2(j) += dt * dt; j += 1 }
+        t += 1
+      }
       var j = i
-      while (j < n) { val v = k(xa(i), xa(j)); gram(i, j) = v; gram(j, i) = v; j += 1 }
+      while (j < n) { val v = k.atSqDist(r2(j)); gram(i, j) = v; gram(j, i) = v; j += 1 }
       i += 1
     }
     var jitter = 1e-10
@@ -122,6 +192,8 @@ object GaussianProcess {
     }
     result
   }
+
+  private val Block = 64
 
   /** Sensible default log-hypers: unit signal, lengthscale 0.3 (inputs are in
     * [0,1]), noise 0.1 — the MCMC marginalization starts from here.

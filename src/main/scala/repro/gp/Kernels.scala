@@ -26,16 +26,23 @@ object GpKernel {
     // ARD: ℓ of coordinate i at i; isotropic: the one ℓ at 0
     private val ls: Array[Double] = logHypers.tail.map(math.exp)
 
+    /** ℓ of coordinate `t` (the shared ℓ for an isotropic kernel). */
+    final def lengthscale(t: Int): Double = if (ard) ls(t) else ls(0)
+
+    /** The kernel at scaled squared distance r2 = Σ_t ((x_t − y_t) / ℓ_t)². */
+    def atSqDist(r2: Double): Double
+
+    final def apply(x: Array[Double], y: Array[Double]): Double = atSqDist(sqDistScaled(x, y))
+
     // Divides by ℓ and sums (d/ℓ)² coordinate by coordinate: multiplying by
-    // 1/ℓ or summing d²/ℓ² would round differently.
-    protected final def sqDistScaled(x: Array[Double], y: Array[Double]): Double = {
+    // 1/ℓ or summing d²/ℓ² would round differently. Batched callers that
+    // build r2 themselves must keep this order.
+    private def sqDistScaled(x: Array[Double], y: Array[Double]): Double = {
       var s = 0.0; var i = 0
       if (ard) while (i < x.length) { val d = (x(i) - y(i)) / ls(i); s += d * d; i += 1 }
       else { val l = ls(0); while (i < x.length) { val d = (x(i) - y(i)) / l; s += d * d; i += 1 } }
       s
     }
-
-    def apply(x: Array[Double], y: Array[Double]): Double
   }
 
   private val Sqrt5 = math.sqrt(5.0)
@@ -44,7 +51,7 @@ object GpKernel {
   final case class SquaredExp(ard: Boolean) extends GpKernel {
     def nHypers(d: Int): Int = if (ard) 1 + d else 2
     def at(logHypers: Array[Double]): Prepared = new Prepared(logHypers, ard) {
-      def apply(x: Array[Double], y: Array[Double]): Double = sf2 * math.exp(-0.5 * sqDistScaled(x, y))
+      def atSqDist(r2: Double): Double = sf2 * math.exp(-0.5 * r2)
     }
   }
 
@@ -52,8 +59,8 @@ object GpKernel {
   final case class Matern52(ard: Boolean) extends GpKernel {
     def nHypers(d: Int): Int = if (ard) 1 + d else 2
     def at(logHypers: Array[Double]): Prepared = new Prepared(logHypers, ard) {
-      def apply(x: Array[Double], y: Array[Double]): Double = {
-        val a = Sqrt5 * math.sqrt(sqDistScaled(x, y))
+      def atSqDist(r2: Double): Double = {
+        val a = Sqrt5 * math.sqrt(r2)
         sf2 * (1.0 + a + a * a / 3.0) * math.exp(-a)
       }
     }

@@ -4,7 +4,7 @@ package repro.linalg
   *
   * Row-major, mutable `Array[Double]` backing. Sizes here are small
   * (kernel matrices of at most a few hundred samples), so clarity wins
-  * over blocking/cache tricks.
+  * over blocking/cache tricks, except in `cholesky`, which every GP fit runs.
   */
 final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) {
   require(data.length == rows * cols, s"Mat($rows x $cols) needs ${rows * cols} values, got ${data.length}")
@@ -100,26 +100,43 @@ object Mat {
     *
     * Returns the lower-triangular L. Throws IllegalArgumentException when A is
     * not positive definite (callers add jitter and retry).
+    *
+    * Left-looking by columns (Golub & Van Loan §4.2): column j first sums
+    * s(i) = Σ_{k<j} L(i,k)·L(j,k) for every i ≥ j, k ascending from 0.0, down
+    * column arrays of L. Each entry is rounded exactly as in the row-by-row
+    * order, and the inner loop indexes all its arrays by i alone, so C2
+    * vectorizes it.
     */
   def cholesky(a: Mat): Mat = {
     require(a.rows == a.cols, "cholesky needs a square matrix")
     val n = a.rows
+    val cols = new Array[Array[Double]](n) // column j of L holds rows i ≥ j
+    val s = new Array[Double](n)
+    var j = 0
+    while (j < n) {
+      java.util.Arrays.fill(s, j, n, 0.0)
+      var k = 0
+      while (k < j) {
+        val ck = cols(k); val ljk = ck(j)
+        var i = j
+        while (i < n) { s(i) += ck(i) * ljk; i += 1 }
+        k += 1
+      }
+      val d = a(j, j) - s(j)
+      if (d <= 0.0 || d.isNaN) throw new IllegalArgumentException(s"matrix not positive definite at pivot $j (d=$d)")
+      val ljj = math.sqrt(d)
+      val cj = new Array[Double](n)
+      cj(j) = ljj
+      var i = j + 1
+      while (i < n) { cj(i) = (a(i, j) - s(i)) / ljj; i += 1 }
+      cols(j) = cj
+      j += 1
+    }
     val l = zeros(n, n)
     var i = 0
     while (i < n) {
-      var j = 0
-      while (j <= i) {
-        var s = 0.0; var k = 0
-        while (k < j) { s += l(i, k) * l(j, k); k += 1 }
-        if (i == j) {
-          val d = a(i, i) - s
-          if (d <= 0.0 || d.isNaN) throw new IllegalArgumentException(s"matrix not positive definite at pivot $i (d=$d)")
-          l(i, i) = math.sqrt(d)
-        } else {
-          l(i, j) = (a(i, j) - s) / l(j, j)
-        }
-        j += 1
-      }
+      j = 0
+      while (j <= i) { l(i, j) = cols(j)(i); j += 1 }
       i += 1
     }
     l

@@ -1,13 +1,14 @@
 package repro.gp
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.linalg.Mat
+import repro.linalg.{Mat, RowCholesky}
 import repro.stats.Stats
 import scala.util.Random
 
 /** The GP as it was before kernels were prepared and predictions batched:
-  * exponentials taken per coordinate, one point predicted at a time. The
-  * exact-equality tests below hold the optimized code to these results.
+  * exponentials taken per coordinate, the Gram matrix factored row by row,
+  * one point predicted at a time. The exact-equality tests below hold the
+  * optimized code to these results.
   */
 private object ReferenceGp {
   def kernel(k: GpKernel, x: Array[Double], y: Array[Double], h: Array[Double]): Double = {
@@ -27,7 +28,7 @@ private object ReferenceGp {
     }
   }
 
-  final class Fitted(k: GpKernel, x: Array[Array[Double]], h: Array[Double], chol: Mat,
+  final class Fitted(k: GpKernel, x: Array[Array[Double]], h: Array[Double], chol: Mat, yStdz: Array[Double],
                      alpha: Array[Double], yMean: Double, yStd: Double, val jitterEscalations: Int) {
     def predict(xs: Array[Double]): (Double, Double) = {
       val n = x.length
@@ -40,6 +41,17 @@ private object ReferenceGp {
       i = 0
       while (i < n) { kss -= v(i) * v(i); i += 1 }
       (mu * yStd + yMean, math.sqrt(math.max(kss, 1e-12)) * yStd)
+    }
+
+    def logMarginalLikelihood: Double = {
+      val n = x.length
+      var quad = 0.0
+      var i = 0
+      while (i < n) { quad += yStdz(i) * alpha(i); i += 1 }
+      var logDet = 0.0
+      i = 0
+      while (i < n) { logDet += math.log(chol(i, i)); i += 1 }
+      -0.5 * quad - logDet - 0.5 * n * math.log(2.0 * math.Pi)
     }
   }
 
@@ -57,8 +69,8 @@ private object ReferenceGp {
       for (i <- 0 until n; j <- i until n) { val v = kernel(k, x(i), x(j), h); m(i, j) = v; m(j, i) = v }
       (0 until n).foreach(i => m(i, i) += noise2 + jitter)
       try {
-        val l = Mat.cholesky(m)
-        return new Fitted(k, x, h, l, Mat.choleskySolve(l, yStdz), yMean, yStd, attempt)
+        val l = RowCholesky.factor(m)
+        return new Fitted(k, x, h, l, yStdz, Mat.choleskySolve(l, yStdz), yMean, yStd, attempt)
       } catch {
         case _: IllegalArgumentException if attempt < 6 => jitter *= 100.0; attempt += 1
       }
@@ -84,6 +96,9 @@ class GpSpec extends AnyFunSuite {
 
   private val seKernel = GpKernel.SquaredExp(ard = false)
   private val m52 = GpKernel.Matern52(ard = false)
+  private val allKernels = Seq(seKernel, m52, GpKernel.SquaredExp(ard = true), GpKernel.Matern52(ard = true))
+
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
 
   // --- LHS ------------------------------------------------------------------
 
@@ -145,8 +160,7 @@ class GpSpec extends AnyFunSuite {
 
   test("a prepared kernel equals the kernel evaluated from log-hypers, bit for bit") {
     val rng = new Random(11)
-    for (k <- Seq(seKernel, m52, GpKernel.SquaredExp(ard = true), GpKernel.Matern52(ard = true));
-         d <- Seq(1, 4, 39); _ <- 0 until 20) {
+    for (k <- allKernels; d <- Seq(1, 4, 39); _ <- 0 until 20) {
       val h = Array.fill(k.nHypers(d) + 1)(rng.nextGaussian()) // + the GP's trailing noise entry
       val prepared = k.at(h)
       val x = Array.fill(d)(rng.nextDouble())
@@ -160,19 +174,24 @@ class GpSpec extends AnyFunSuite {
   // --- GP regression -----------------------------------------------------------
 
   test("predictBatch equals one-point-at-a-time prediction exactly") {
+    // pools of 63/64/65 straddle the 64-candidate scoring block
     val rng = new Random(12)
-    val d = 6
-    for (k <- Seq(m52, GpKernel.SquaredExp(ard = true)); n <- Seq(1, 5, 80); m <- Seq(1, 7, 416)) {
+    for (k <- allKernels; d <- Seq(1, 11, 39); n <- Seq(1, 5, 80)) {
       val xs = Array.fill(n)(Array.fill(d)(rng.nextDouble()))
-      val ys = xs.map(x => math.sin(3 * x(0)) + x(1) + 0.1 * rng.nextGaussian())
+      val ys = xs.map(x => math.sin(3 * x(0)) + x(d - 1) + 0.1 * rng.nextGaussian())
       val h = Array.fill(k.nHypers(d) + 1)(0.5 * rng.nextGaussian())
       val gp = GaussianProcess.fit(k, xs.toSeq, ys.toSeq, h)
       val ref = ReferenceGp.fit(k, xs, ys, h)
-      val pool = Array.fill(m)(Array.fill(d)(rng.nextDouble()))
-      val (mu, sd) = gp.predictBatch(pool)
-      pool.indices.foreach { c =>
-        assert((mu(c), sd(c)) == ref.predict(pool(c)), s"kernel $k n=$n m=$m candidate $c")
-        assert(gp.predict(pool(c)) == ref.predict(pool(c)))
+      assert(bits(gp.logMarginalLikelihood) == bits(ref.logMarginalLikelihood), s"kernel $k d=$d n=$n")
+      for (m <- Seq(1, 63, 64, 65, 416)) {
+        val pool = Array.fill(m)(Array.fill(d)(rng.nextDouble()))
+        val (mu, sd) = gp.predictBatch(pool)
+        pool.indices.foreach { c =>
+          val (refMu, refSd) = ref.predict(pool(c))
+          val (oneMu, oneSd) = gp.predict(pool(c))
+          assert(bits(mu(c)) == bits(refMu) && bits(sd(c)) == bits(refSd), s"kernel $k d=$d n=$n m=$m candidate $c")
+          assert(bits(oneMu) == bits(refMu) && bits(oneSd) == bits(refSd))
+        }
       }
     }
   }
@@ -246,6 +265,20 @@ class GpSpec extends AnyFunSuite {
     assert(lml(math.log(0.2)) > lml(math.log(100.0)))
   }
 
+  test("GP fit and predictBatch reject points of another dimension") {
+    val h = GaussianProcess.defaultLogHypers(seKernel, 2)
+    intercept[IllegalArgumentException] {
+      GaussianProcess.fit(seKernel, Seq(Array(0.1, 0.2), Array(0.5), Array(0.9, 0.3)), Seq(1.0, 2.0, 3.0), h)
+    }
+    intercept[IllegalArgumentException] {
+      GaussianProcess.fit(seKernel, Seq(Array(0.1, 0.2), Array(0.5, 0.1, 0.7)), Seq(1.0, 2.0), h)
+    }
+    val gp = GaussianProcess.fit(seKernel, Seq(Array(0.1, 0.2), Array(0.9, 0.3)), Seq(1.0, 2.0), h)
+    intercept[IllegalArgumentException] { gp.predictBatch(Array(Array(0.5, 0.5), Array(0.5))) }
+    intercept[IllegalArgumentException] { gp.predictBatch(Array(Array(0.5, 0.5, 0.5))) }
+    intercept[IllegalArgumentException] { gp.predict(Array(0.5)) }
+  }
+
   test("GP fit validates hyperparameter count") {
     intercept[IllegalArgumentException] {
       GaussianProcess.fit(seKernel, Seq(Array(0.5)), Seq(1.0), Array(0.0))
@@ -295,6 +328,24 @@ class GpSpec extends AnyFunSuite {
     }
     val (i, e) = model.maxEi(pool, best)
     assert(e == eis.max && i == eis.indexOf(eis.max))
+  }
+
+  test("maxEi picks the reference's first maximal candidate in a pool with duplicates") {
+    val rng = new Random(15)
+    val d = 5
+    val xs = (0 until 40).map(_ => Array.fill(d)(rng.nextDouble()))
+    val ys = xs.map(x => (x(0) - 0.4) * (x(0) - 0.4) + x(1) * x(2) + 0.05 * rng.nextGaussian())
+    val model = EiMcmc.fitMarginalized(GpKernel.Matern52(ard = true), xs, ys, rng, nSamples = 4, nBurn = 8)
+    val best = ys.min
+    // each candidate three times (itself and two copies), shuffled across block boundaries
+    val base = Array.fill(100)(Array.fill(d)(rng.nextDouble()))
+    val pool = rng.shuffle((base ++ base.map(_.clone()) ++ base.map(_.clone())).toSeq).toArray
+    val refEi = pool.map(ReferenceGp.ei(model.gps, _, best))
+    var refI = 0
+    pool.indices.foreach(c => if (refEi(c) > refEi(refI)) refI = c)
+    assert(refEi.count(_ == refEi(refI)) >= 3)
+    val (i, e) = model.maxEi(pool, best)
+    assert(i == refI && bits(e) == bits(refEi(refI)))
   }
 
   test("argmaxEi returns a point in the unit cube with non-negative EI") {

@@ -3,6 +3,35 @@ package repro.linalg
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+/** `Mat.cholesky` as it was before it went column by column: row-oriented,
+  * each entry's sum over k ascending from 0.0. The factor and the failure
+  * message must match it exactly; `GpSpec`'s reference GP factors with it.
+  */
+private[repro] object RowCholesky {
+  def factor(a: Mat): Mat = {
+    val n = a.rows
+    val l = Mat.zeros(n, n)
+    var i = 0
+    while (i < n) {
+      var j = 0
+      while (j <= i) {
+        var s = 0.0; var k = 0
+        while (k < j) { s += l(i, k) * l(j, k); k += 1 }
+        if (i == j) {
+          val d = a(i, i) - s
+          if (d <= 0.0 || d.isNaN) throw new IllegalArgumentException(s"matrix not positive definite at pivot $i (d=$d)")
+          l(i, i) = math.sqrt(d)
+        } else {
+          l(i, j) = (a(i, j) - s) / l(j, j)
+        }
+        j += 1
+      }
+      i += 1
+    }
+    l
+  }
+}
+
 class MatSpec extends AnyFunSuite {
 
   private def randSpd(n: Int, rng: Random): Mat = {
@@ -64,6 +93,40 @@ class MatSpec extends AnyFunSuite {
   test("cholesky rejects non-positive-definite matrices") {
     val a = new Mat(2, 2, Array(1.0, 2.0, 2.0, 1.0)) // eigenvalues 3, -1
     intercept[IllegalArgumentException] { Mat.cholesky(a) }
+  }
+
+  test("cholesky equals the row-oriented factorization bit for bit") {
+    val rng = new Random(31)
+    for (n <- Seq(1, 2, 3, 4, 5, 63, 64, 65, 80, 120); _ <- 0 until 3) {
+      // B·Bᵀ scaled down and a small ridge: SPD, but far from diagonal, so
+      // every entry sums many terms whose order would show in the bits
+      val b = new Mat(n, n, Array.fill(n * n)(rng.nextGaussian()))
+      val a = (b * b.t).scale(1.0 / n)
+      var i = 0
+      while (i < n) { a(i, i) += 1e-3 * rng.nextDouble(); i += 1 }
+      val got = Mat.cholesky(a).data.map(java.lang.Double.doubleToRawLongBits)
+      val want = RowCholesky.factor(a).data.map(java.lang.Double.doubleToRawLongBits)
+      assert(got.sameElements(want), s"n=$n")
+    }
+  }
+
+  test("cholesky fails at the row-oriented factorization's pivot with its message") {
+    val rng = new Random(32)
+    for (n <- Seq(2, 5, 64, 80); p <- Seq(0, n / 2, n - 1)) {
+      // SPD up to a negative diagonal entry (fails at pivot p exactly) or a
+      // NaN below it (the NaN reaches the pivots of rows ≥ p)
+      val negative = randSpd(n, rng)
+      negative(p, p) = -1.0
+      val nan = randSpd(n, rng)
+      nan(p, 0) = Double.NaN
+      for (a <- Seq(negative, nan)) {
+        val want = intercept[IllegalArgumentException](RowCholesky.factor(a)).getMessage
+        assert(intercept[IllegalArgumentException](Mat.cholesky(a)).getMessage == want, s"n=$n p=$p")
+      }
+    }
+    val indefinite = new Mat(2, 2, Array(1.0, 2.0, 2.0, 1.0))
+    assert(intercept[IllegalArgumentException](Mat.cholesky(indefinite)).getMessage ==
+      "matrix not positive definite at pivot 1 (d=-3.0)")
   }
 
   test("choleskySolve solves A·x = b (20 seeds)") {
