@@ -23,21 +23,12 @@ final class Dac(
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val rng = new Random(seed)
-    var trials = Vector.empty[Trial]
-    var cost = 0.0
-
-    def eval(conf: ConfigValues): Trial = {
-      val res = objective.run(conf, ds, None)
-      val t = Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-      trials :+= t
-      cost += res.totalSeconds
-      t
-    }
+    val log = new TrialLog(objective)
 
     // model-building samples (datasize recorded as a feature, per DAC)
-    (0 until nSamples).foreach(_ => eval(space.random(rng)))
-    val xs = trials.map(t => space.encode(t.conf) :+ ds / 1000.0)
-    val ys = trials.map(t => math.log(t.result.totalSeconds))
+    (0 until nSamples).foreach(_ => log.run(space.random(rng), ds))
+    val xs = log.trials.map(t => space.encode(t.conf) :+ ds / 1000.0)
+    val ys = log.trials.map(t => math.log(t.result.totalSeconds))
     val model = Gbrt.fit(xs, ys, nTrees = nTrees, maxDepth = 4)
 
     // GA over the model; several restarts give distinct candidates
@@ -47,8 +38,7 @@ final class Dac(
     }
     // validate model-optima on the "cluster"; DAC's recommendation is the
     // best of the GA candidates (the model's output), per its protocol
-    val validated = candidates.map(u => eval(space.decode(u)))
-    val best = validated.minBy(_.result.totalSeconds)
-    TuningResult(name, best.conf, best.result.totalSeconds, cost, trials)
+    val validated = candidates.map(u => log.run(space.decode(u), ds))
+    log.result(validated.minBy(_.result.totalSeconds))
   }
 }

@@ -44,11 +44,9 @@ final class GboRl(
   }
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
-    val rng = new Random(seed)
-    val bo = BoSearch.run(objective, space, ds, rng, nInit = nInit, nIter = boIters,
-      candidateFilter = memoryFeasible)
-    val best = bo.best
-    TuningResult(name, best.conf, best.result.totalSeconds, bo.costSeconds, bo.trials)
+    val log = new TrialLog(objective)
+    BoSearch.run(log, space, ds, new Random(seed), nInit = nInit, nIter = boIters, candidateFilter = memoryFeasible)
+    log.result(log.best)
   }
 }
 

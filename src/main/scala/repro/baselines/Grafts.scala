@@ -41,41 +41,28 @@ final class QcsaIicpGraft(
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val rng = new Random(seed * 17 + 5)
-    var trials = Vector.empty[Trial]
-    var cost = 0.0
+    val log = new TrialLog(objective)
 
     val nSampling = if (useQcsa) nQcsa else if (useIicp) nIicp else 0
-    val samples = (0 until nSampling).map { _ =>
-      val conf = space.random(rng)
-      val res = objective.run(conf, ds, None)
-      trials :+= Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-      cost += res.totalSeconds
-      (conf, res)
-    }
+    (0 until nSampling).foreach(_ => log.run(space.random(rng), ds))
+    val samples = log.trials
 
     val rqa =
-      if (useQcsa) Qcsa.analyze(samples.map(_._2.perQuerySeconds), objective.queries).rqa
+      if (useQcsa) Qcsa.analyze(samples.map(_.result.perQuerySeconds), objective.queries).rqa
       else objective.queries
 
     val (searchSpace, pinned) =
       if (useIicp) {
-        val iicpSamples = samples.take(nIicp).map { case (c, r) => (c, r.totalSeconds) }
-        val kept = Iicp.cps(space, iicpSamples).map(_._1)
-        val bestSample = samples.minBy(_._2.totalSeconds)._1
+        val kept = Iicp.cps(space, samples.take(nIicp).map(t => (t.conf, t.result.totalSeconds))).map(_._1)
         val keptSet = kept.toSet
-        (space.subspace(kept), bestSample.values.view.filterKeys(k => !keptSet(k)).toMap)
+        (space.subspace(kept), log.best.conf.values.view.filterKeys(k => !keptSet(k)).toMap)
       } else (space, Map.empty[String, Double])
 
     val wrapped = new SubsetPinnedObjective(objective, rqa, pinned)
     val inner = base.tune(wrapped, searchSpace, ds, seed)
-    trials ++= inner.trials.map(t => t.copy(conf = ConfigValues(pinned ++ t.conf.values), fullApp = !useQcsa))
-    cost += inner.optimizationSeconds
+    inner.trials.foreach(t => log.add(t.copy(conf = ConfigValues(pinned ++ t.conf.values), fullApp = !useQcsa)))
 
     // verify the best configuration on the full application
-    val bestConf = ConfigValues(pinned ++ inner.bestConf.values)
-    val verify = objective.run(bestConf, ds, None)
-    trials :+= Trial(bestConf, ds, verify, verify.totalSeconds, fullApp = true)
-    cost += verify.totalSeconds
-    TuningResult(name, bestConf, verify.totalSeconds, cost, trials)
+    log.result(log.run(ConfigValues(pinned ++ inner.bestConf.values), ds))
   }
 }

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.core._
+import repro.gp.EiMcmc
 import repro.ml.Gbrt
 import scala.util.Random
 
@@ -26,20 +27,11 @@ final class QTuneRl(
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val rng = new Random(seed)
-    var trials = Vector.empty[Trial]
-    var cost = 0.0
+    val log = new TrialLog(objective)
     var critic: Option[Gbrt] = None
 
-    def eval(u: Array[Double]): Double = {
-      val conf = space.decode(u)
-      val res = objective.run(conf, ds, None)
-      trials :+= Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-      cost += res.totalSeconds
-      res.totalSeconds
-    }
-
     var bestU = space.randomUnit(rng)
-    var bestT = eval(bestU)
+    var bestT = log.run(space.decode(bestU), ds).result.totalSeconds
 
     var ep = 1
     while (ep < episodes) {
@@ -53,24 +45,22 @@ final class QTuneRl(
             // actor step, DDPG-style: the policy follows the critic's value
             // estimate over the action space (global candidates plus local
             // refinements of the incumbent), with exploration noise on top
-            val cands = Array.fill(16)(space.randomUnit(rng)) ++
-              Array.fill(8)(bestU.map(v => clamp(v + rng.nextGaussian() * noise)))
+            val cands = EiMcmc.candidatePool(rng, space.dim, 16, Some(bestU), 8, Seq(noise))
             val greedy = cands.minBy(u => cr.predict(u))
             greedy.map(v => clamp(v + rng.nextGaussian() * noise * 0.5))
           case None => bestU.map(v => clamp(v + rng.nextGaussian() * noise))
         }
-      val t = eval(action)
-      if (t < bestT) { bestT = t; bestU = space.encode(trials.last.conf) }
+      val t = log.run(space.decode(action), ds)
+      if (t.result.totalSeconds < bestT) { bestT = t.result.totalSeconds; bestU = space.encode(t.conf) }
       if (ep % criticRefit == 0) {
-        val xs = trials.map(tr => space.encode(tr.conf))
-        val ys = trials.map(tr => math.log(tr.result.totalSeconds))
+        val xs = log.trials.map(tr => space.encode(tr.conf))
+        val ys = log.trials.map(tr => math.log(tr.result.totalSeconds))
         critic = Some(Gbrt.fit(xs, ys, nTrees = 60, maxDepth = 3))
       }
       ep += 1
     }
 
-    val best = trials.minBy(_.result.totalSeconds)
-    TuningResult(name, best.conf, best.result.totalSeconds, cost, trials)
+    log.result(log.best)
   }
 
   private def clamp(v: Double): Double = math.min(1.0, math.max(0.0, v))

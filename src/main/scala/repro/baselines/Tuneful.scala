@@ -27,18 +27,12 @@ final class Tuneful(
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val rng = new Random(seed)
-    var trials = Vector.empty[Trial]
-    var cost = 0.0
+    val log = new TrialLog(objective)
 
     // Phase 1: significance analysis samples
-    (0 until saRounds * samplesPerRound).foreach { _ =>
-      val conf = space.random(rng)
-      val res = objective.run(conf, ds, None)
-      trials :+= Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-      cost += res.totalSeconds
-    }
-    val xs = trials.map(t => space.encode(t.conf))
-    val ys = trials.map(t => math.log(t.result.totalSeconds))
+    (0 until saRounds * samplesPerRound).foreach(_ => log.run(space.random(rng), ds))
+    val xs = log.trials.map(t => space.encode(t.conf))
+    val ys = log.trials.map(t => math.log(t.result.totalSeconds))
     val gbrt = Gbrt.fit(xs, ys, nTrees = 60, maxDepth = 3)
     val imp = gbrt.featureImportance
     val significant = space.names.zip(imp).sortBy { case (_, i) => -i }.take(keepParams).map(_._1)
@@ -46,11 +40,7 @@ final class Tuneful(
     // Phase 2: GP-BO over the significant subspace, others pinned at defaults
     val sub = space.subspace(significant)
     val pinned = space.defaults.values.view.filterKeys(n => !significant.contains(n)).toMap
-    val bo = BoSearch.run(objective, sub, ds, rng, nInit = 3, nIter = boIters, pinned = pinned)
-    trials ++= bo.trials
-    cost += bo.costSeconds
-
-    val best = trials.minBy(_.result.totalSeconds)
-    TuningResult(name, best.conf, best.result.totalSeconds, cost, trials)
+    BoSearch.run(log, sub, ds, rng, nInit = 3, nIter = boIters, pinned = pinned)
+    log.result(log.best)
   }
 }

@@ -30,13 +30,14 @@ object Dagp {
   def inputVec(features: Array[Double], datasizeGB: Double): Array[Double] =
     features :+ (datasizeGB / DsScaleGB)
 
-  /** Fit the marginalized GP over (features, ds) → log seconds. */
-  def fit(samples: Seq[Sample], rng: Random,
-          kernel: GpKernel = GpKernel.Matern52(ard = false),
-          nMcmcSamples: Int = 4, nBurn: Int = 12): EiMcmc.Marginalized = {
+  /** Fit the marginalized GP (isotropic Matérn-5/2) over (features, ds) →
+    * log seconds, with `nMcmcSamples` hyperparameter draws after `nBurn`
+    * burn-in steps.
+    */
+  def fit(samples: Seq[Sample], rng: Random, nMcmcSamples: Int, nBurn: Int): EiMcmc.Marginalized = {
     require(samples.nonEmpty, "DAGP needs at least one sample")
     val xs = samples.map(s => inputVec(s.features, s.datasizeGB))
     val ys = samples.map(s => math.log(s.seconds))
-    EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = nMcmcSamples, nBurn = nBurn)
+    EiMcmc.fitMarginalized(GpKernel.Matern52(ard = false), xs, ys, rng, nSamples = nMcmcSamples, nBurn = nBurn)
   }
 }

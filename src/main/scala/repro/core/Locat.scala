@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.gp.{EiMcmc, GpKernel}
+import repro.gp.EiMcmc
+import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** The LOCAT tuner (paper §3, Fig 3).
@@ -32,21 +33,19 @@ final class LocatSession(
     maxIter: Int = 60,
     nextMinIter: Int = 5,
     nextMaxIter: Int = 20,
-    gpTrainCap: Int = 80,
     useIicp: Boolean = true, // false = "AP" mode of Fig 15: tune all 38 parameters
 ) {
   require(nIicp <= nQcsa, "IICP samples are a prefix of the QCSA samples")
 
+  /** Most recent RQA samples the DAGP trains on. */
+  private val GpTrainCap = 80
+
   private val rng = new Random(seed)
-  private val kernel = GpKernel.Matern52(ard = false)
-
-  private final case class RqaSample(conf: ConfigValues, subUnit: Option[Array[Double]],
-                                     features: Array[Double], ds: Double, rqaSeconds: Double)
-
-  private val fullRuns = scala.collection.mutable.ArrayBuffer.empty[(ConfigValues, Array[Double], ExecResult, Double)]
-  private val rqaSamples = scala.collection.mutable.ArrayBuffer.empty[RqaSample]
-  private val allTrials = scala.collection.mutable.ArrayBuffer.empty[Trial]
-  private var totalCost = 0.0
+  private val log = new TrialLog(objective)
+  // DAGP training set of the RQA phase: each sample with its configuration
+  // and, for BO picks, the subspace unit it was chosen at (None for the
+  // seeded QCSA-phase runs)
+  private val rqaSamples = ArrayBuffer.empty[(Dagp.Sample, ConfigValues, Option[Array[Double]])]
 
   private var qcsaResult: Option[Qcsa.Result] = None
   private var iicpModel: Option[Iicp.Model] = None
@@ -57,52 +56,42 @@ final class LocatSession(
   /** IICP outcome (available after tuneInitial). */
   def iicp: Iicp.Model = iicpModel.getOrElse(throw new IllegalStateException("run tuneInitial first"))
   /** Cumulative execution seconds paid so far across all tuning phases. */
-  def cumulativeOptimizationSeconds: Double = totalCost
+  def cumulativeOptimizationSeconds: Double = log.cost
+
+  /** One DAGP BO step at datasize `ds`: fit on `samples` with `nMcmc` draws
+    * after `nBurn` burn-in steps, then score `nRandom` uniform units of `sub`
+    * plus `nLocal` perturbations of the best sample's unit (`units(i)` is
+    * sample i's unit, if it has one), each mapped to a DAGP input through
+    * `features`. Returns the highest-EI unit and its EI.
+    */
+  private def propose(samples: Seq[Dagp.Sample], units: Seq[Option[Array[Double]]], nMcmc: Int, nBurn: Int,
+                      sub: ConfigSpace, features: Array[Double] => Array[Double], ds: Double,
+                      nRandom: Int, nLocal: Int, sigmas: Seq[Double]): (Array[Double], Double) = {
+    val model = Dagp.fit(samples, rng, nMcmc, nBurn)
+    val ys = samples.map(s => math.log(s.seconds))
+    val best = ys.min
+    val pool = EiMcmc.candidatePool(rng, sub.dim, nRandom, units(ys.indexOf(best)), nLocal, sigmas)
+    val (i, ei) = model.maxEi(pool.map(u => Dagp.inputVec(features(u), ds)), best)
+    (pool(i), ei)
+  }
 
   // ---------------------------------------------------------------- phase 1
 
-  private def runFull(conf: ConfigValues, u: Array[Double], ds: Double): ExecResult = {
-    val res = objective.run(conf, ds, None)
-    fullRuns += ((conf, u, res, ds))
-    totalCost += res.totalSeconds
-    allTrials += Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-    res
-  }
-
   private def collectQcsaSamples(ds: Double): Unit = {
+    val samples = ArrayBuffer.empty[Dagp.Sample]
+    def runFull(u: Array[Double]): Unit =
+      samples += Dagp.Sample(u, ds, log.run(space.decode(u), ds).result.totalSeconds)
     // 3 LHS start points (paper §3.4)
-    space.lhsUnit(3, rng).foreach(u => runFull(space.decode(u), u, ds))
+    space.lhsUnit(3, rng).foreach(runFull)
     // BO with DAGP over the raw full space until nQcsa executions exist
-    while (fullRuns.size < nQcsa) {
-      val xs = fullRuns.map { case (_, u, _, d) => Dagp.inputVec(u, d) }.toSeq
-      val ys = fullRuns.map { case (_, _, r, _) => math.log(r.totalSeconds) }.toSeq
-      val model = EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = 3, nBurn = 8)
-      val best = ys.min
-      val incumbentU = fullRuns(fullRuns.indices.minBy(i => ys(i)))._2
-      // candidates over conf-space; ds coordinate is pinned to the current ds
-      val (cand, _) = argmaxEiWithPinnedDs(model, best, ds, Some(incumbentU))
-      runFull(space.decode(cand), cand, ds)
+    while (samples.size < nQcsa) {
+      val window = samples.toSeq
+      runFull(propose(window, window.map(s => Some(s.features)), 3, 8, space, identity, ds,
+        nRandom = 192, nLocal = 48, sigmas = Seq(0.08))._1)
     }
-  }
-
-  private def argmaxEiWithPinnedDs(model: EiMcmc.Marginalized, best: Double, ds: Double,
-                                   incumbent: Option[Array[Double]],
-                                   nRandom: Int = 192, nLocal: Int = 48): (Array[Double], Double) = {
-    val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-    var i = 0
-    while (i < nRandom) { pool += space.randomUnit(rng); i += 1 }
-    incumbent.foreach { inc =>
-      var j = 0
-      while (j < nLocal) { pool += inc.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * 0.08))); j += 1 }
-    }
-    val (bestI, bestEi) = model.maxEi(pool.map(c => Dagp.inputVec(c, ds)).toArray, best)
-    (pool(bestI), bestEi)
   }
 
   // ---------------------------------------------------------------- phase 2
-
-  private def rqaSecondsOf(res: ExecResult, rqa: Seq[String]): Double =
-    rqa.map(res.perQuerySeconds).sum
 
   // With IICP off (Fig 15 "AP"), the DAGP input is the raw 38-dim encoding.
   private def searchSubspace: ConfigSpace = if (useIicp) iicp.subspace else space
@@ -111,53 +100,26 @@ final class LocatSession(
   private def featuresOfSubUnit(u: Array[Double]): Array[Double] =
     if (useIicp) iicp.featuresOfSubspaceUnit(u) else u
 
-  private def seedRqaSamplesFromFullRuns(): Unit = {
-    val rqa = qcsa.rqa
-    fullRuns.foreach { case (conf, _, res, d) =>
-      rqaSamples += RqaSample(conf, None, featuresOfConf(conf), d, rqaSecondsOf(res, rqa))
-    }
+  private def addRqaSample(t: Trial, unit: Option[Array[Double]]): Unit = {
+    val rqaSeconds = qcsa.rqa.map(t.result.perQuerySeconds).sum
+    rqaSamples += ((Dagp.Sample(featuresOfConf(t.conf), t.datasizeGB, rqaSeconds), t.conf, unit))
   }
 
   private def boOnRqa(ds: Double, itMin: Int, itMax: Int): Unit = {
-    val rqa = qcsa.rqa
     val sub = searchSubspace
     var iter = 0
     var continue = true
     while (continue) {
-      val window = rqaSamples.takeRight(gpTrainCap)
-      val xs = window.map(s => Dagp.inputVec(s.features, s.ds)).toSeq
-      val ys = window.map(s => math.log(s.rqaSeconds)).toSeq
-      val model = EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = 4, nBurn = 10)
-      val best = ys.min
-      val incumbentSub = window.zip(ys).minBy(_._2)._1.subUnit
-
+      val window = rqaSamples.takeRight(GpTrainCap).toSeq
       // candidate pool in the important-parameter subspace: global random
       // draws plus coarse and fine perturbations of the incumbent
-      val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-      var i = 0
-      while (i < 320) { pool += sub.randomUnit(rng); i += 1 }
-      incumbentSub.foreach { inc =>
-        var j = 0
-        while (j < 96) {
-          val sigma = if (j % 2 == 0) 0.08 else 0.025
-          pool += inc.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * sigma)))
-          j += 1
-        }
-      }
-      val (bestI, bestEi) = model.maxEi(pool.map(u => Dagp.inputVec(featuresOfSubUnit(u), ds)).toArray, best)
-      val bestU = pool(bestI)
-
+      val (u, ei) = propose(window.map(_._1), window.map(_._3), 4, 10, sub, featuresOfSubUnit, ds,
+        nRandom = 320, nLocal = 96, sigmas = Seq(0.08, 0.025))
       // evaluate: important params from the candidate, the rest pinned
-      val subConf = sub.decode(bestU)
-      val conf = ConfigValues(pinnedBase.get.values ++ subConf.values)
-      val res = objective.run(conf, ds, Some(rqa))
-      val rqaSec = rqaSecondsOf(res, rqa)
-      rqaSamples += RqaSample(conf, Some(bestU), featuresOfConf(conf), ds, rqaSec)
-      totalCost += res.totalSeconds
-      allTrials += Trial(conf, ds, res, res.totalSeconds, fullApp = false)
-
+      val conf = ConfigValues(pinnedBase.get.values ++ sub.decode(u).values)
+      addRqaSample(log.run(conf, ds, Some(qcsa.rqa)), Some(u))
       iter += 1
-      continue = iter < itMax && (iter < itMin || bestEi >= Dagp.EiStopThreshold)
+      continue = iter < itMax && (iter < itMin || ei >= Dagp.EiStopThreshold)
     }
   }
 
@@ -165,29 +127,19 @@ final class LocatSession(
     // Pick the configuration whose DAGP posterior-mean RQA time at this
     // datasize is lowest: the surrogate denoises single observations, so
     // LOCAT sidesteps the winner's curse of argmin-over-noisy-runs.
-    val atDs = rqaSamples.filter(_.ds == ds)
-    val window = rqaSamples.takeRight(gpTrainCap)
-    val model = EiMcmc.fitMarginalized(kernel,
-      window.map(s => Dagp.inputVec(s.features, s.ds)).toSeq,
-      window.map(s => math.log(s.rqaSeconds)).toSeq, rng, nSamples = 4, nBurn = 10)
-    val (mus, _) = model.predictBatch(atDs.map(s => Dagp.inputVec(s.features, ds)).toArray)
-    val best = atDs(atDs.indices.minBy(i => mus(i)))
-    val verify = objective.run(best.conf, ds, None)
-    totalCost += verify.totalSeconds
-    allTrials += Trial(best.conf, ds, verify, verify.totalSeconds, fullApp = true)
-    TuningResult("LOCAT", best.conf, verify.totalSeconds, totalCost, allTrials.toSeq)
+    val atDs = rqaSamples.filter(_._1.datasizeGB == ds)
+    val model = Dagp.fit(rqaSamples.takeRight(GpTrainCap).map(_._1).toSeq, rng, 4, 10)
+    val (mus, _) = model.predictBatch(atDs.map(s => Dagp.inputVec(s._1.features, ds)).toArray)
+    log.result(log.run(atDs(atDs.indices.minBy(i => mus(i)))._2, ds))
   }
 
   /** Full LOCAT procedure for the first (or only) datasize. */
   def tuneInitial(ds: Double): TuningResult = {
     if (qcsaResult.nonEmpty) throw new IllegalStateException("tuneInitial may only run once per session")
     collectQcsaSamples(ds)
-    val perQueryMaps = fullRuns.map(_._3.perQuerySeconds).toSeq
-    qcsaResult = Some(Qcsa.analyze(perQueryMaps, objective.queries))
-    if (useIicp) {
-      val iicpSamples = fullRuns.take(nIicp).map { case (c, _, r, _) => (c, r.totalSeconds) }.toSeq
-      iicpModel = Some(Iicp.fit(space, iicpSamples))
-    }
+    val fullRuns = log.trials
+    qcsaResult = Some(Qcsa.analyze(fullRuns.map(_.result.perQuerySeconds), objective.queries))
+    if (useIicp) iicpModel = Some(Iicp.fit(space, fullRuns.take(nIicp).map(t => (t.conf, t.result.totalSeconds))))
     // Non-important parameters stay at their Spark defaults — LOCAT only
     // tunes the important ones (§3.3); tuning the rest can counteract the
     // gains (§5.6). Resource-sizing parameters are the exception: their
@@ -197,10 +149,9 @@ final class LocatSession(
     val resourceFamily = space.params.filter(p =>
       p.resource || p.name == "spark.executor.instances" || p.name == "spark.default.parallelism")
       .map(_.name).toSet
-    val bestSeen = fullRuns.minBy(_._3.totalSeconds)._1
     pinnedBase = Some(ConfigValues(space.defaults.values ++
-      bestSeen.values.view.filterKeys(resourceFamily).toMap))
-    seedRqaSamplesFromFullRuns()
+      log.best.conf.values.view.filterKeys(resourceFamily).toMap))
+    fullRuns.foreach(addRqaSample(_, None))
     boOnRqa(ds, minIter, maxIter)
     finishAtDs(ds)
   }
@@ -210,11 +161,11 @@ final class LocatSession(
     */
   def tuneNext(ds: Double): TuningResult = {
     if (qcsaResult.isEmpty) throw new IllegalStateException("tuneNext requires tuneInitial")
-    val (n, before) = (allTrials.size, totalCost)
+    val (n, before) = (log.size, log.cost)
     boOnRqa(ds, nextMinIter, nextMaxIter)
     val r = finishAtDs(ds)
     // report only this datasize's trials and their cost
-    r.copy(optimizationSeconds = totalCost - before, trials = r.trials.drop(n))
+    r.copy(optimizationSeconds = log.cost - before, trials = r.trials.drop(n))
   }
 }
 

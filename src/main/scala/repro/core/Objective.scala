@@ -44,12 +44,43 @@ final case class Trial(conf: ConfigValues, datasizeGB: Double, result: ExecResul
   * @param trials          full history
   */
 final case class TuningResult(
-    tunerName: String,
     bestConf: ConfigValues,
     bestTimeSeconds: Double,
     optimizationSeconds: Double,
     trials: Seq[Trial],
 )
+
+/** The trial ledger every tuner records through: it runs `objective`, keeps
+  * the trials in execution order and sums their costs in that order, so a
+  * tuner's optimization time is by construction the sum of its trial costs.
+  */
+final class TrialLog(objective: TuningObjective) {
+  private val buf = scala.collection.mutable.ArrayBuffer.empty[Trial]
+  private var total = 0.0
+
+  /** Execute once and record it; the cost is the run's wall time. */
+  def run(conf: ConfigValues, ds: Double, subset: Option[Seq[String]] = None): Trial = {
+    val res = objective.run(conf, ds, subset)
+    val t = Trial(conf, ds, res, res.totalSeconds, fullApp = subset.isEmpty)
+    add(t)
+    t
+  }
+
+  /** Record a trial executed elsewhere (a graft's inner tuner). */
+  def add(t: Trial): Unit = { buf += t; total += t.costSeconds }
+
+  def size: Int = buf.size
+  def apply(i: Int): Trial = buf(i)
+  def trials: Seq[Trial] = buf.toVector
+
+  /** Sum of the recorded costs, in trial order. */
+  def cost: Double = total
+
+  /** The first trial with the lowest observed time. */
+  def best: Trial = buf.minBy(_.result.totalSeconds)
+
+  def result(best: Trial): TuningResult = TuningResult(best.conf, best.result.totalSeconds, total, trials)
+}
 
 /** A configuration auto-tuner (LOCAT or one of the four SOTA baselines). */
 trait Tuner {

@@ -71,6 +71,9 @@ object EiMcmc {
     }
   }
 
+  /** Standard deviation of the MH random-walk proposal in log-hyper space. */
+  private val ProposalSd = 0.25
+
   /** MH-sample `nSamples` hyper vectors and fit one GP each.
     *
     * `nBurn` steps of burn-in, then `thin`-spaced draws. Each likelihood
@@ -78,8 +81,7 @@ object EiMcmc {
     * size (the tuners keep n ≤ ~120).
     */
   def fitMarginalized(kernel: GpKernel, x: Seq[Array[Double]], y: Seq[Double], rng: Random,
-                      nSamples: Int = 5, nBurn: Int = 15, thin: Int = 3,
-                      proposalSd: Double = 0.25): Marginalized = {
+                      nSamples: Int = 5, nBurn: Int = 15, thin: Int = 3): Marginalized = {
     val d = x.head.length
     var current = GaussianProcess.defaultLogHypers(kernel, d)
     var currentGp = GaussianProcess.fit(kernel, x, y, current)
@@ -88,7 +90,7 @@ object EiMcmc {
     val totalSteps = nBurn + nSamples * thin
     var step = 0
     while (step < totalSteps) {
-      val proposal = current.map(h => h + rng.nextGaussian() * proposalSd)
+      val proposal = current.map(h => h + rng.nextGaussian() * ProposalSd)
       val tryGp =
         try Some(GaussianProcess.fit(kernel, x, y, proposal))
         catch { case _: IllegalStateException => None }
@@ -111,24 +113,17 @@ object EiMcmc {
     gp.logMarginalLikelihood + prior
   }
 
-  /** Maximize EI over a random candidate pool plus local perturbations of the
-    * incumbent. Returns (bestCandidate, itsEI).
+  /** The candidate pool every BO step scores: `nRandom` uniform points in
+    * the `dim`-cube, then, when there is an incumbent, `nLocal` perturbations
+    * of it clamped to the cube, the j-th with sd `sigmas(j % sigmas.size)`.
     */
-  def argmaxEi(model: Marginalized, best: Double, d: Int, rng: Random,
-               incumbent: Option[Array[Double]] = None,
-               nRandom: Int = 256, nLocal: Int = 64): (Array[Double], Double) = {
-    val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-    var i = 0
-    while (i < nRandom) { pool += Array.fill(d)(rng.nextDouble()); i += 1 }
-    incumbent.foreach { inc =>
-      var j = 0
-      while (j < nLocal) {
-        pool += inc.map(v => clamp01(v + rng.nextGaussian() * 0.08))
-        j += 1
-      }
+  def candidatePool(rng: Random, dim: Int, nRandom: Int, incumbent: Option[Array[Double]], nLocal: Int,
+                    sigmas: Seq[Double] = Seq(0.08)): Array[Array[Double]] = {
+    val random = Array.fill(nRandom)(Array.fill(dim)(rng.nextDouble()))
+    val local = incumbent.fold(Array.empty[Array[Double]]) { inc =>
+      Array.tabulate(nLocal)(j => inc.map(v => clamp01(v + rng.nextGaussian() * sigmas(j % sigmas.size))))
     }
-    val (bestI, bestEi) = model.maxEi(pool.toArray, best)
-    (pool(bestI), bestEi)
+    random ++ local
   }
 
   private def clamp01(v: Double): Double = math.min(1.0, math.max(0.0, v))

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{ConfigValues, TestObjectives}
+import repro.core.{ConfigValues, Locat, TestObjectives, TrialLog, Tuner}
 import scala.util.Random
 
 class BaselinesSpec extends AnyFunSuite {
@@ -74,16 +74,34 @@ class BaselinesSpec extends AnyFunSuite {
     assert(r.bestTimeSeconds == r.trials.map(_.result.totalSeconds).min)
   }
 
-  test("every baseline's optimization cost equals the sum of its trial costs") {
-    val tuners = Seq(
-      new Tuneful(saRounds = 1, samplesPerRound = 6, keepParams = 3, boIters = 4),
+  private def smallTuneful = new Tuneful(saRounds = 1, samplesPerRound = 6, keepParams = 3, boIters = 4)
+  private def smallQTune = new QTuneRl(episodes = 15, criticRefit = 5)
+
+  test("every tuner meets the tuner contract") {
+    val tuners: Seq[Tuner] = Seq(
+      new Locat(nQcsa = 12, nIicp = 10, minIter = 3, maxIter = 5),
+      new Locat(nQcsa = 12, nIicp = 10, minIter = 3, maxIter = 5, useIicp = false),
+      smallTuneful,
       new Dac(nSamples = 20, gaCandidates = 2, nTrees = 30),
-      new QTuneRl(episodes = 15, criticRefit = 5),
-      new RandomSearch(10))
+      new GboRl(nInit = 3, boIters = 4, clusterMemGB = 1e9, clusterCores = Int.MaxValue / 2, workerNodes = 3),
+      smallQTune,
+      new RandomSearch(10),
+      new QcsaIicpGraft(smallTuneful, useQcsa = true, useIicp = false, nQcsa = 12, nIicp = 10),
+      new QcsaIicpGraft(smallQTune, useQcsa = false, useIicp = true, nQcsa = 12, nIicp = 10),
+      new QcsaIicpGraft(smallTuneful, useQcsa = true, useIicp = true, nQcsa = 12, nIicp = 10))
     tuners.foreach { t =>
-      val obj = TestObjectives.synthetic(7)
-      val r = t.tune(obj, obj.space, 100.0, 7)
-      assert(math.abs(r.optimizationSeconds - r.trials.map(_.costSeconds).sum) < 1e-9, t.name)
+      def tuneOnce() = { val obj = TestObjectives.synthetic(7); (obj, t.tune(obj, obj.space, 100.0, 7)) }
+      val (obj, r) = tuneOnce()
+      assert(r.optimizationSeconds == r.trials.map(_.costSeconds).sum, t.name)
+      assert(r.trials.exists(_.conf == r.bestConf), t.name)
+      r.trials.foreach { tr =>
+        obj.space.params.foreach { p =>
+          val (lo, hi) = obj.space.range(p)
+          assert(tr.conf(p.name) >= lo && tr.conf(p.name) <= hi, s"${t.name}: ${p.name}")
+        }
+        assert(tr.fullApp == (tr.result.perQuerySeconds.keySet == obj.queries.toSet), t.name)
+      }
+      assert(tuneOnce()._2 == r, s"${t.name} is not deterministic per seed")
     }
   }
 
@@ -91,19 +109,22 @@ class BaselinesSpec extends AnyFunSuite {
     val obj = TestObjectives.synthetic(8)
     val sub = obj.space.subspace(Seq("knob.one", "knob.two"))
     val pinned = Map("noise.a" -> 7.0, "noise.b" -> 0.25, "noise.c" -> 0.0, "noise.d" -> 150.0)
-    val st = BoSearch.run(obj, sub, 100.0, new Random(8), nInit = 3, nIter = 5, pinned = pinned)
-    st.trials.foreach { t =>
+    val log = new TrialLog(obj)
+    BoSearch.run(log, sub, 100.0, new Random(8), nInit = 3, nIter = 5, pinned = pinned)
+    log.trials.foreach { t =>
       assert(t.conf("noise.a") == 7.0 && t.conf("noise.d") == 150.0)
     }
   }
 
   test("golden: BoSearch trial costs equal those recorded before batched EI scoring") {
     val obj = TestObjectives.synthetic(22)
-    val plain = BoSearch.run(obj, obj.space, 100.0, new Random(22), nInit = 3, nIter = 6)
+    val plain = new TrialLog(obj)
+    BoSearch.run(plain, obj.space, 100.0, new Random(22), nInit = 3, nIter = 6)
     assert(plain.trials.map(_.costSeconds) == Seq(26.44860352828574, 70.80477311918, 70.0246327370958,
       24.31422953608245, 24.300536720993968, 23.254750487414576, 23.26738655995211, 27.76693979872929,
       21.729931608691263))
-    val filtered = BoSearch.run(obj, obj.space, 100.0, new Random(23), nInit = 0, nIter = 6,
+    val filtered = new TrialLog(obj)
+    BoSearch.run(filtered, obj.space, 100.0, new Random(23), nInit = 0, nIter = 6,
       candidateFilter = (c: ConfigValues) => c("knob.one") <= 50.0)
     assert(filtered.trials.map(_.costSeconds) == Seq(85.41096089055736, 64.21731500309139, 58.105902673928426,
       50.47280278935142, 41.72179378229026, 41.6108368075748, 38.49029133442764))
@@ -143,8 +164,8 @@ class BaselinesSpec extends AnyFunSuite {
   test("BoSearch candidateFilter is honored") {
     val obj = TestObjectives.synthetic(9)
     val filter = (c: ConfigValues) => c("knob.one") <= 50.0
-    val st = BoSearch.run(obj, obj.space, 100.0, new Random(9), nInit = 0, nIter = 6,
-      candidateFilter = filter)
-    st.trials.foreach(t => assert(t.conf("knob.one") <= 50.0))
+    val log = new TrialLog(obj)
+    BoSearch.run(log, obj.space, 100.0, new Random(9), nInit = 0, nIter = 6, candidateFilter = filter)
+    log.trials.foreach(t => assert(t.conf("knob.one") <= 50.0))
   }
 }

@@ -20,7 +20,7 @@ class DagpSpec extends AnyFunSuite {
     def t(u: Double, ds: Double) = 100.0 * (1 + ds / 1000.0) * (1.0 + (u - 0.5) * (u - 0.5))
     val samples = for (ds <- Seq(100.0, 400.0); u <- (0 to 5).map(_ * 0.2))
       yield Dagp.Sample(Array(u), ds, t(u, ds))
-    val model = Dagp.fit(samples, rng)
+    val model = Dagp.fit(samples, rng, 4, 12)
     val (muSmall, _) = model.predict(Dagp.inputVec(Array(0.5), 100.0))
     val (muLarge, _) = model.predict(Dagp.inputVec(Array(0.5), 400.0))
     assert(muLarge > muSmall) // log-time ordering preserved
@@ -31,7 +31,7 @@ class DagpSpec extends AnyFunSuite {
     def t(u: Double, ds: Double) = 50.0 * (1 + ds / 500.0) + 100.0 * (u - 0.3) * (u - 0.3)
     val samples = for (ds <- Seq(100.0, 500.0); u <- (0 to 4).map(_ * 0.25))
       yield Dagp.Sample(Array(u), ds, t(u, ds))
-    val model = Dagp.fit(samples, rng)
+    val model = Dagp.fit(samples, rng, 4, 12)
     val (mu100, _) = model.predict(Dagp.inputVec(Array(0.3), 100.0))
     val (mu300, _) = model.predict(Dagp.inputVec(Array(0.3), 300.0))
     val (mu500, _) = model.predict(Dagp.inputVec(Array(0.3), 500.0))
@@ -47,7 +47,7 @@ class DagpSpec extends AnyFunSuite {
     def t(u: Double, ds: Double) = (10.0 + 200.0 * (u - 0.75) * (u - 0.75)) * (1 + ds / 1000.0)
     var samples = (for (u <- Seq(0.1, 0.5, 0.9)) yield Dagp.Sample(Array(u), 200.0, t(u, 200.0))).toVector
     for (_ <- 0 until 12) {
-      val model = Dagp.fit(samples, rng)
+      val model = Dagp.fit(samples, rng, 4, 12)
       val best = samples.map(s => math.log(s.seconds)).min
       val cands = Array.fill(64)(rng.nextDouble())
       val pick = cands.maxBy(u => model.ei(Dagp.inputVec(Array(u), 200.0), best))

@@ -348,13 +348,49 @@ class GpSpec extends AnyFunSuite {
     assert(i == refI && bits(e) == bits(refEi(refI)))
   }
 
-  test("argmaxEi returns a point in the unit cube with non-negative EI") {
+  test("candidatePool draws the same bits, in the same order, as the generators it replaced") {
+    val clamp = (v: Double) => math.min(1.0, math.max(0.0, v))
+    // the three generators as they were written before candidatePool existed
+    def locatQcsa(rng: Random, d: Int, inc: Array[Double]): Seq[Array[Double]] =
+      (0 until 192).map(_ => Array.fill(d)(rng.nextDouble())) ++
+        (0 until 48).map(_ => inc.map(v => clamp(v + rng.nextGaussian() * 0.08)))
+    def locatRqa(rng: Random, d: Int, inc: Array[Double]): Seq[Array[Double]] =
+      (0 until 320).map(_ => Array.fill(d)(rng.nextDouble())) ++
+        (0 until 96).map(j => inc.map(v => clamp(v + rng.nextGaussian() * (if (j % 2 == 0) 0.08 else 0.025))))
+    def boSearch(rng: Random, d: Int, inc: Array[Double]): Seq[Array[Double]] =
+      Array.tabulate(160) { tries =>
+        if (tries < 120) Array.fill(d)(rng.nextDouble())
+        else inc.map(v => clamp(v + rng.nextGaussian() * 0.08))
+      }.toSeq
+    val d = 7
+    val inc = Array(0.0, 1.0, 0.5, 0.02, 0.98, 0.3, 0.7)
+    val cases = Seq[(Random => Seq[Array[Double]], Random => Array[Array[Double]])](
+      (locatQcsa(_, d, inc), EiMcmc.candidatePool(_, d, 192, Some(inc), 48)),
+      (locatRqa(_, d, inc), EiMcmc.candidatePool(_, d, 320, Some(inc), 96, Seq(0.08, 0.025))),
+      (boSearch(_, d, inc), EiMcmc.candidatePool(_, d, 120, Some(inc), 40)))
+    cases.zipWithIndex.foreach { case ((old, pool), k) =>
+      val (rOld, rNew) = (new Random(30 + k), new Random(30 + k))
+      val (want, got) = (old(rOld), pool(rNew))
+      assert(got.length == want.length)
+      want.indices.foreach(c => assert(got(c).map(bits).toSeq == want(c).map(bits).toSeq, s"case $k candidate $c"))
+      assert(rNew.nextLong() == rOld.nextLong(), s"case $k leaves the RNG elsewhere")
+    }
+  }
+
+  test("candidatePool without an incumbent draws only the uniform points") {
+    val pool = EiMcmc.candidatePool(new Random(31), 3, 25, None, 40)
+    assert(pool.length == 25)
+    assert(pool.forall(u => u.length == 3 && u.forall(v => v >= 0.0 && v < 1.0)))
+  }
+
+  test("candidatePool + maxEi return a point in the unit cube with non-negative EI") {
     val rng = new Random(9)
     val xs = (0 until 10).map(_ => Array(rng.nextDouble(), rng.nextDouble()))
     val ys = xs.map(x => (x(0) - 0.3) * (x(0) - 0.3) + x(1))
     val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 5)
-    val (cand, ei) = EiMcmc.argmaxEi(model, ys.min, 2, rng, incumbent = Some(xs(ys.indexOf(ys.min))))
-    assert(cand.forall(v => v >= 0.0 && v <= 1.0))
+    val pool = EiMcmc.candidatePool(rng, 2, 256, Some(xs(ys.indexOf(ys.min))), 64)
+    val (i, ei) = model.maxEi(pool, ys.min)
+    assert(pool(i).forall(v => v >= 0.0 && v <= 1.0))
     assert(ei >= 0.0)
   }
 
@@ -365,7 +401,8 @@ class GpSpec extends AnyFunSuite {
     var ys = xs.map(f).toVector
     for (_ <- 0 until 15) {
       val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 6)
-      val (cand, _) = EiMcmc.argmaxEi(model, ys.min, 2, rng, incumbent = Some(xs(ys.indexOf(ys.min))))
+      val pool = EiMcmc.candidatePool(rng, 2, 256, Some(xs(ys.indexOf(ys.min))), 64)
+      val cand = pool(model.maxEi(pool, ys.min)._1)
       xs :+= cand; ys :+= f(cand)
     }
     assert(ys.min < 0.02, s"BO best ${ys.min}") // random search would rarely get here in 18 evals
