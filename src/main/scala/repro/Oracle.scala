@@ -2,7 +2,7 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
   *
@@ -11,9 +11,17 @@ import scala.jdk.CollectionConverters._
   * match ``sparkDf``. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
   *
-  * Alias every output column identically on both sides (Spark names
-  * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
-  * to scalar columns — array/map/struct are not comparable here.
+  * Each DuckDB table takes its DataFrame's Spark column types (``INT``,
+  * ``BIGINT``, ``DOUBLE``, ``DATE``, ``STRING``), so the same query text
+  * runs on both engines without casts. Rows are loaded through DuckDB's
+  * Appender, every cell as its ``toString`` text (null as SQL NULL);
+  * DuckDB converts that text to the column's type.
+  *
+  * Results are canonicalized before the exact comparison: NULL renders as
+  * ``∅``, floating values with 6 decimals, and rows are sorted by their
+  * cell sequence. Alias every output column identically on both sides
+  * (Spark names ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``).
+  * Project to scalar columns — array/map/struct are not comparable here.
   */
 object Oracle {
 
@@ -30,7 +38,7 @@ object Oracle {
           case x                    => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, String])
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
@@ -38,19 +46,15 @@ object Oracle {
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
-        conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
+        val cols = df.schema.fields.map(f => s"${f.name} ${f.dataType.sql}")
+        conn.createStatement.execute(s"CREATE TABLE $name (${cols.mkString(", ")})")
         // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        val app = conn.unwrap(classOf[DuckDBConnection]).createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          (0 until r.length).foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull))
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData

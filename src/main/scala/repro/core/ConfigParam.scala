@@ -85,7 +85,5 @@ object ConfigParam {
     bool("spark.sql.sort.enableRadixSort", default = true),
   )
 
-  val byName: Map[String, ConfigParam] = all.map(p => p.name -> p).toMap
-
   require(all.size == 38, s"Table 2 lists 38 parameters, got ${all.size}")
 }

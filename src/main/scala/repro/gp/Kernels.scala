@@ -47,14 +47,6 @@ object GpKernel {
 
   private val Sqrt5 = math.sqrt(5.0)
 
-  /** Squared-exponential (Gaussian / RBF) kernel. */
-  final case class SquaredExp(ard: Boolean) extends GpKernel {
-    def nHypers(d: Int): Int = if (ard) 1 + d else 2
-    def at(logHypers: Array[Double]): Prepared = new Prepared(logHypers, ard) {
-      def atSqDist(r2: Double): Double = sf2 * math.exp(-0.5 * r2)
-    }
-  }
-
   /** Matern 5/2 — the standard choice for BO over machine configurations. */
   final case class Matern52(ard: Boolean) extends GpKernel {
     def nHypers(d: Int): Int = if (ard) 1 + d else 2

@@ -64,17 +64,11 @@ final class Kpca private (
     val kernel: KpcaKernel,
     train: Array[Array[Double]],
     alphas: Mat,            // n x k, columns are λ-normalized eigenvectors
-    eigenvalues: Array[Double],
     rowMeans: Array[Double],
     totalMean: Double,
 ) {
   /** Number of extracted components. */
   def nComponents: Int = alphas.cols
-
-  def eigenvalueShare: Array[Double] = {
-    val tot = eigenvalues.sum
-    eigenvalues.map(_ / math.max(tot, 1e-300))
-  }
 
   /** Project a point into the extracted component space. */
   def transform(x: Array[Double]): Array[Double] = {
@@ -133,6 +127,6 @@ object Kpca {
       var r = 0
       while (r < n) { alphas(r, c) = vecs(r, col) / norm; r += 1 }
     }
-    new Kpca(kernel, train, alphas, keep.map(vals).toArray, rowMeans, totalMean)
+    new Kpca(kernel, train, alphas, rowMeans, totalMean)
   }
 }

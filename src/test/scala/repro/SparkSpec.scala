@@ -1,7 +1,6 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
@@ -12,10 +11,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {

@@ -98,7 +98,7 @@ class ConfigSpaceSpec extends AnyFunSuite {
   }
 
   test("x86 executor.instances range is 9-112 (Range B) and ARM 48-384 (Range A)") {
-    val p = ConfigParam.byName("spark.executor.instances")
+    val p = ConfigParam.all.find(_.name == "spark.executor.instances").get
     assert(p.rangeA == (48.0, 384.0))
     assert(p.rangeB == (9.0, 112.0))
   }

@@ -12,7 +12,7 @@ import scala.util.Random
   */
 private object ReferenceGp {
   def kernel(k: GpKernel, x: Array[Double], y: Array[Double], h: Array[Double]): Double = {
-    val ard = k match { case GpKernel.SquaredExp(a) => a; case GpKernel.Matern52(a) => a }
+    val ard = k match { case GpKernel.Matern52(a) => a }
     var s = 0.0; var i = 0
     while (i < x.length) {
       val l = math.exp(if (ard) h(1 + i) else h(1))
@@ -20,12 +20,8 @@ private object ReferenceGp {
       s += d * d; i += 1
     }
     val sf2 = math.exp(2.0 * h(0))
-    k match {
-      case _: GpKernel.SquaredExp => sf2 * math.exp(-0.5 * s)
-      case _: GpKernel.Matern52 =>
-        val a = math.sqrt(5.0) * math.sqrt(s)
-        sf2 * (1.0 + a + a * a / 3.0) * math.exp(-a)
-    }
+    val a = math.sqrt(5.0) * math.sqrt(s)
+    sf2 * (1.0 + a + a * a / 3.0) * math.exp(-a)
   }
 
   final class Fitted(k: GpKernel, x: Array[Array[Double]], h: Array[Double], chol: Mat, yStdz: Array[Double],
@@ -94,9 +90,8 @@ private object ReferenceGp {
 
 class GpSpec extends AnyFunSuite {
 
-  private val seKernel = GpKernel.SquaredExp(ard = false)
   private val m52 = GpKernel.Matern52(ard = false)
-  private val allKernels = Seq(seKernel, m52, GpKernel.SquaredExp(ard = true), GpKernel.Matern52(ard = true))
+  private val allKernels = Seq(m52, GpKernel.Matern52(ard = true))
 
   private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
 
@@ -128,34 +123,29 @@ class GpSpec extends AnyFunSuite {
   test("kernels are symmetric and maximal at zero distance") {
     val rng = new Random(3)
     val h = Array(0.2, math.log(0.4))
-    for (_ <- 0 until 20; k <- Seq(seKernel, m52)) {
+    for (_ <- 0 until 20) {
       val x = Array.fill(3)(rng.nextDouble())
       val y = Array.fill(3)(rng.nextDouble())
-      assert(math.abs(k(x, y, h) - k(y, x, h)) < 1e-12)
-      assert(k(x, x, h) >= k(x, y, h) - 1e-12)
+      assert(math.abs(m52(x, y, h) - m52(y, x, h)) < 1e-12)
+      assert(m52(x, x, h) >= m52(x, y, h) - 1e-12)
     }
   }
 
-  test("squared-exp kernel closed form at unit distance") {
+  test("Matern52 kernel closed form at unit distance") {
     val h = Array(0.0, 0.0) // σf=1, ℓ=1
-    val v = seKernel(Array(0.0), Array(1.0), h)
-    assert(math.abs(v - math.exp(-0.5)) < 1e-12)
+    val v = m52(Array(0.0), Array(1.0), h)
+    val a = math.sqrt(5.0)
+    assert(math.abs(v - (1.0 + a + 5.0 / 3.0) * math.exp(-a)) < 1e-12)
   }
 
   test("ARD kernel uses per-dimension lengthscales") {
-    val k = GpKernel.SquaredExp(ard = true)
+    val k = GpKernel.Matern52(ard = true)
     // tiny lengthscale in dim 0, huge in dim 1
     val h = Array(0.0, math.log(0.01), math.log(100.0))
     val near = k(Array(0.0, 0.0), Array(0.0, 1.0), h) // moves only in the "ignored" dim
     val far = k(Array(0.0, 0.0), Array(0.1, 0.0), h)  // moves in the sensitive dim
     assert(near > 0.99 && far < 0.01)
     assert(k.nHypers(2) == 3)
-  }
-
-  test("Matern52 decays slower than squared-exp at long range") {
-    val h = Array(0.0, 0.0)
-    val x = Array(0.0); val y = Array(3.0)
-    assert(m52(x, y, h) > seKernel(x, y, h))
   }
 
   test("a prepared kernel equals the kernel evaluated from log-hypers, bit for bit") {
@@ -216,7 +206,7 @@ class GpSpec extends AnyFunSuite {
     val xs = Seq(Array(0.1), Array(0.4), Array(0.7), Array(0.95))
     val ys = xs.map(x => math.sin(x(0) * 6))
     val h = Array(0.0, math.log(0.3), math.log(1e-3))
-    val gp = GaussianProcess.fit(seKernel, xs, ys, h)
+    val gp = GaussianProcess.fit(m52, xs, ys, h)
     xs.zip(ys).foreach { case (x, y) =>
       val (mu, sd) = gp.predict(x)
       assert(math.abs(mu - y) < 1e-2, s"x=${x(0)} mu=$mu y=$y")
@@ -227,7 +217,7 @@ class GpSpec extends AnyFunSuite {
   test("GP predictive uncertainty grows away from data") {
     val xs = Seq(Array(0.4), Array(0.5), Array(0.6))
     val ys = Seq(1.0, 1.2, 0.9)
-    val gp = GaussianProcess.fit(seKernel, xs, ys, Array(0.0, math.log(0.1), math.log(0.01)))
+    val gp = GaussianProcess.fit(m52, xs, ys, Array(0.0, math.log(0.1), math.log(0.01)))
     val (_, sdNear) = gp.predict(Array(0.5))
     val (_, sdFar) = gp.predict(Array(0.0))
     assert(sdFar > sdNear * 2)
@@ -248,8 +238,8 @@ class GpSpec extends AnyFunSuite {
 
   test("GP handles constant targets (zero variance) without NaN") {
     val xs = Seq(Array(0.1), Array(0.5), Array(0.9))
-    val gp = GaussianProcess.fit(seKernel, xs, Seq(5.0, 5.0, 5.0),
-      GaussianProcess.defaultLogHypers(seKernel, 1))
+    val gp = GaussianProcess.fit(m52, xs, Seq(5.0, 5.0, 5.0),
+      GaussianProcess.defaultLogHypers(m52, 1))
     val (mu, sd) = gp.predict(Array(0.3))
     assert(!mu.isNaN && !sd.isNaN)
     assert(math.abs(mu - 5.0) < 0.5)
@@ -260,20 +250,20 @@ class GpSpec extends AnyFunSuite {
     val xs = (0 until 30).map(_ => Array(rng.nextDouble()))
     val ys = xs.map(x => math.sin(x(0) * 2 * math.Pi) + rng.nextGaussian() * 0.05)
     def lml(logL: Double) =
-      GaussianProcess.fit(seKernel, xs, ys, Array(0.0, logL, math.log(0.05))).logMarginalLikelihood
+      GaussianProcess.fit(m52, xs, ys, Array(0.0, logL, math.log(0.05))).logMarginalLikelihood
     assert(lml(math.log(0.2)) > lml(math.log(1e-3)))
     assert(lml(math.log(0.2)) > lml(math.log(100.0)))
   }
 
   test("GP fit and predictBatch reject points of another dimension") {
-    val h = GaussianProcess.defaultLogHypers(seKernel, 2)
+    val h = GaussianProcess.defaultLogHypers(m52, 2)
     intercept[IllegalArgumentException] {
-      GaussianProcess.fit(seKernel, Seq(Array(0.1, 0.2), Array(0.5), Array(0.9, 0.3)), Seq(1.0, 2.0, 3.0), h)
+      GaussianProcess.fit(m52, Seq(Array(0.1, 0.2), Array(0.5), Array(0.9, 0.3)), Seq(1.0, 2.0, 3.0), h)
     }
     intercept[IllegalArgumentException] {
-      GaussianProcess.fit(seKernel, Seq(Array(0.1, 0.2), Array(0.5, 0.1, 0.7)), Seq(1.0, 2.0), h)
+      GaussianProcess.fit(m52, Seq(Array(0.1, 0.2), Array(0.5, 0.1, 0.7)), Seq(1.0, 2.0), h)
     }
-    val gp = GaussianProcess.fit(seKernel, Seq(Array(0.1, 0.2), Array(0.9, 0.3)), Seq(1.0, 2.0), h)
+    val gp = GaussianProcess.fit(m52, Seq(Array(0.1, 0.2), Array(0.9, 0.3)), Seq(1.0, 2.0), h)
     intercept[IllegalArgumentException] { gp.predictBatch(Array(Array(0.5, 0.5), Array(0.5))) }
     intercept[IllegalArgumentException] { gp.predictBatch(Array(Array(0.5, 0.5, 0.5))) }
     intercept[IllegalArgumentException] { gp.predict(Array(0.5)) }
@@ -281,7 +271,7 @@ class GpSpec extends AnyFunSuite {
 
   test("GP fit validates hyperparameter count") {
     intercept[IllegalArgumentException] {
-      GaussianProcess.fit(seKernel, Seq(Array(0.5)), Seq(1.0), Array(0.0))
+      GaussianProcess.fit(m52, Seq(Array(0.5)), Seq(1.0), Array(0.0))
     }
   }
 

@@ -1,6 +1,7 @@
 package repro.sparkexec
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.View
 import repro.{Oracle, SparkSpec, SynthData}
 
 /** Correctness of every lite SQL query: the same text runs on Spark (through
@@ -34,11 +35,11 @@ class QueriesSpec extends SparkSpec {
   }
 
   test("every query produces a non-degenerate plan (reads its tables)") {
-    val t = tables
-    assert(t.nonEmpty)
+    tables // registers the views the queries resolve against
     LiteQueries.all.foreach { q =>
-      val plan = spark.sql(q.sql).queryExecution.optimizedPlan.toString
-      assert(plan.nonEmpty, q.id)
+      // each view the analyzed plan reads, subquery expressions included
+      val read = spark.sql(q.sql).queryExecution.analyzed.collectWithSubqueries { case v: View => v.desc.identifier.table }
+      assert(read.toSet == q.tables.toSet, q.id)
     }
   }
 

@@ -82,15 +82,6 @@ class KpcaSpec extends AnyFunSuite {
     }
   }
 
-  test("eigenvalueShare sums to <= 1 and is descending") {
-    val rng = new Random(6)
-    val xs = Seq.fill(20)(Array.fill(6)(rng.nextDouble()))
-    val k = Kpca.fit(xs, KpcaKernel.Gaussian(1.0))
-    val share = k.eigenvalueShare
-    assert(share.sum <= 1.0 + 1e-9)
-    assert(share.toSeq == share.toSeq.sorted(Ordering[Double].reverse))
-  }
-
   test("kpca works with polynomial and perceptron kernels too") {
     val rng = new Random(7)
     val xs = Seq.fill(15)(Array.fill(3)(rng.nextDouble()))
