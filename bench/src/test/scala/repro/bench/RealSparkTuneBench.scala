@@ -49,12 +49,12 @@ class RealSparkTuneBench extends SparkSpec {
       s"${result.trials.size} trials")
     println("best conf: " + result.bestConf.values.toSeq.sortBy(_._1)
       .map { case (k, v) => f"${k.stripPrefix("spark.sql.")}=${v}%.0f" }.mkString(" "))
-    if (SparkObjective.skippedKeys.nonEmpty)
-      println(s"keys not settable in this Spark: ${SparkObjective.skippedKeys.mkString(", ")}")
+    if (objective.skippedKeys.nonEmpty)
+      println(s"keys not settable in this Spark: ${objective.skippedKeys.mkString(", ")}")
 
     // sanity: all tuned keys were actually settable, and tuning did not
     // regress the default configuration beyond measurement noise
-    assert((SparkObjective.runtimeSpace.names.toSet intersect SparkObjective.skippedKeys).isEmpty)
+    assert((SparkObjective.runtimeSpace.names.toSet intersect objective.skippedKeys).isEmpty)
     assert(tunedTime <= defaultTime * 1.25,
       f"tuned $tunedTime%.2fs much slower than default $defaultTime%.2fs")
 

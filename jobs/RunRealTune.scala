@@ -16,7 +16,7 @@ object RunRealTune {
     val sf = args.lift(0).map(_.toDouble).getOrElse(0.01)
     val seed = args.lift(1).map(_.toLong).getOrElse(42L)
 
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("locat-real-tune")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
@@ -40,8 +40,8 @@ object RunRealTune {
     println(f"best total time: ${result.bestTimeSeconds}%.2f s over ${LiteQueries.all.size} queries")
     println(f"optimization cost: ${result.optimizationSeconds}%.1f s across ${result.trials.size} trials")
     result.bestConf.values.toSeq.sortBy(_._1).foreach { case (k, v) => println(f"  $k = $v%.1f") }
-    if (SparkObjective.skippedKeys.nonEmpty)
-      println(s"skipped (not settable in this Spark): ${SparkObjective.skippedKeys.mkString(", ")}")
+    if (objective.skippedKeys.nonEmpty)
+      println(s"skipped (not settable in this Spark): ${objective.skippedKeys.mkString(", ")}")
     spark.stop()
   }
 }

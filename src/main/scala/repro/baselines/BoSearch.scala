@@ -6,12 +6,12 @@ import scala.util.Random
 
 /** Shared plain GP-BO loop used by the SOTA baselines (Tuneful's search
   * phase, GBO-RL's guided BO). Unlike LOCAT it is NOT datasize-aware, always
-  * executes the full application, and searches whatever space it is given.
+  * executes the full application, and searches whatever space it is given
+  * (Tuneful passes a subspace that holds its non-significant parameters at
+  * their defaults).
   *
   * @param candidateFilter optional predicate over decoded configs (GBO-RL's
   *                        analytical memory model prunes infeasible ones)
-  * @param pinned          values merged over decoded candidates (Tuneful pins
-  *                        non-significant parameters)
   */
 object BoSearch {
   /** Most recent trials the GP trains on. */
@@ -22,26 +22,23 @@ object BoSearch {
     */
   def run(log: TrialLog, space: ConfigSpace, ds: Double, rng: Random,
           nInit: Int, nIter: Int,
-          pinned: Map[String, Double] = Map.empty,
           candidateFilter: ConfigValues => Boolean = _ => true): Unit = {
     val kernel = GpKernel.Matern52(ard = false)
     val start = log.size
 
-    def confOf(u: Array[Double]): ConfigValues = ConfigValues(space.decode(u).values ++ pinned)
-
-    def eval(u: Array[Double]): Unit = log.run(confOf(u), ds)
+    def eval(u: Array[Double]): Unit = log.run(space.decode(u), ds)
 
     /** A random point satisfying the filter (bounded retries, then give up
       * on the constraint — never on the evaluation). */
     def filteredRandom(): Array[Double] = {
       var tries = 0
       var u = space.randomUnit(rng)
-      while (!candidateFilter(confOf(u)) && tries < 500) { u = space.randomUnit(rng); tries += 1 }
+      while (!candidateFilter(space.decode(u)) && tries < 500) { u = space.randomUnit(rng); tries += 1 }
       u
     }
 
     if (nInit > 0) space.lhsUnit(nInit, rng).foreach { u =>
-      eval(if (candidateFilter(confOf(u))) u else filteredRandom())
+      eval(if (candidateFilter(space.decode(u))) u else filteredRandom())
     }
     if (log.size == start) eval(filteredRandom()) // GP needs at least one point
 
@@ -58,7 +55,7 @@ object BoSearch {
       val best = ys.min
       // generate and filter in draw order, then score the survivors in one batch
       val pool = EiMcmc.candidatePool(rng, space.dim, 120, Some(xs(ys.indexOf(best))), 40)
-        .filter(u => candidateFilter(confOf(u)))
+        .filter(u => candidateFilter(space.decode(u)))
       val (bestI, bestEi) = model.maxEi(pool, best)
       // nothing scored above −∞: no candidate passed the filter, or every EI was NaN
       eval(if (bestEi > Double.NegativeInfinity) pool(bestI) else space.randomUnit(rng))

@@ -25,21 +25,19 @@ final class GboRl(
     * memory parameters (unit tests, runtime-only spaces) are always feasible.
     */
   def memoryFeasible(conf: ConfigValues): Boolean = {
-    // missing keys (subspace tuning) fall back to Spark-ish defaults
-    def v(name: String, default: Double) = conf.get(name).getOrElse(default)
     if (conf.get("spark.executor.memory").isEmpty) return true
     val execMem = conf("spark.executor.memory")
-    val overheadGB = v("spark.executor.memoryOverhead", 384.0) / 1024.0
-    val offHeapGB = if (v("spark.memory.offHeap.enabled", 0.0) >= 0.5) v("spark.memory.offHeap.size", 0.0) / 1024.0 else 0.0
+    val overheadGB = conf("spark.executor.memoryOverhead") / 1024.0
+    val offHeapGB = if (conf.bool("spark.memory.offHeap.enabled")) conf("spark.memory.offHeap.size") / 1024.0 else 0.0
     val perExec = execMem + math.max(overheadGB, 0.375) + offHeapGB
-    val instances = math.round(v("spark.executor.instances", 2.0))
-    val cores = math.max(1L, math.round(v("spark.executor.cores", 1.0)))
+    val instances = math.round(conf("spark.executor.instances"))
+    val cores = math.max(1L, math.round(conf("spark.executor.cores")))
     val memPerNode = clusterMemGB / workerNodes
     val coresPerNode = clusterCores.toDouble / workerNodes
     val fitsNode = perExec <= memPerNode && cores <= coresPerNode
     val fitsCluster = instances * perExec <= clusterMemGB * 1.05 && instances * cores <= clusterCores * 1.05
     // starved execution memory is also rejected by the model
-    val execShare = execMem * v("spark.memory.fraction", 0.6) / cores
+    val execShare = execMem * conf("spark.memory.fraction") / cores
     fitsNode && fitsCluster && execShare >= 0.5
   }
 

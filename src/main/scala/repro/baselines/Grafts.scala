@@ -3,26 +3,21 @@ package repro.baselines
 import repro.core._
 import scala.util.Random
 
-/** Objective wrapper: restrict execution to an RQA subset and pin dropped
-  * parameters — the machinery for grafting QCSA/IICP onto the SOTA tuners
-  * (paper §5.10, Fig 21).
+/** Objective wrapper that restricts execution to an RQA subset — the
+  * machinery for grafting QCSA onto the SOTA tuners (paper §5.10, Fig 21).
   */
-final class SubsetPinnedObjective(
-    inner: TuningObjective,
-    rqa: Seq[String],
-    pinned: Map[String, Double],
-) extends TuningObjective {
+final class SubsetObjective(inner: TuningObjective, rqa: Seq[String]) extends TuningObjective {
   override def workloadName: String = inner.workloadName
   override def queries: Seq[String] = rqa
   override def run(conf: ConfigValues, ds: Double, subset: Option[Seq[String]]): ExecResult =
-    inner.run(ConfigValues(pinned ++ conf.values), ds, Some(subset.getOrElse(rqa)))
+    inner.run(conf, ds, Some(subset.getOrElse(rqa)))
 }
 
 /** Graft LOCAT's QCSA and/or IICP sample-reduction onto any base tuner:
   *  - a shared random-sampling phase provides the QCSA/IICP observations
   *    (full-application runs, cost counted);
   *  - with QCSA, the base tuner then optimizes the RQA only (cheaper runs);
-  *  - with IICP, it searches only the CPS-kept subspace, the rest pinned at
+  *  - with IICP, it searches only the CPS-kept subspace, the rest held at
   *    the best sampled configuration (the KPCA extraction is DAGP-specific
   *    and is not grafted — documented simplification, DESIGN.md §2);
   *  - the final best configuration is verified with one full run.
@@ -51,18 +46,16 @@ final class QcsaIicpGraft(
       if (useQcsa) Qcsa.analyze(samples.map(_.result.perQuerySeconds), objective.queries).rqa
       else objective.queries
 
-    val (searchSpace, pinned) =
+    val searchSpace =
       if (useIicp) {
         val kept = Iicp.cps(space, samples.take(nIicp).map(t => (t.conf, t.result.totalSeconds))).map(_._1)
-        val keptSet = kept.toSet
-        (space.subspace(kept), log.best.conf.values.view.filterKeys(k => !keptSet(k)).toMap)
-      } else (space, Map.empty[String, Double])
+        space.subspace(kept, log.best.conf)
+      } else space
 
-    val wrapped = new SubsetPinnedObjective(objective, rqa, pinned)
-    val inner = base.tune(wrapped, searchSpace, ds, seed)
-    inner.trials.foreach(t => log.add(t.copy(conf = ConfigValues(pinned ++ t.conf.values), fullApp = !useQcsa)))
+    val inner = base.tune(new SubsetObjective(objective, rqa), searchSpace, ds, seed)
+    inner.trials.foreach(t => log.add(t.copy(fullApp = !useQcsa)))
 
     // verify the best configuration on the full application
-    log.result(log.run(ConfigValues(pinned ++ inner.bestConf.values), ds))
+    log.result(log.run(inner.bestConf, ds))
   }
 }

@@ -20,8 +20,6 @@ import scala.util.Random
 final class QTuneRl(
     episodes: Int = 320,
     criticRefit: Int = 15,
-    epsilon0: Double = 0.5,
-    noise0: Double = 0.30,
 ) extends Tuner {
   override def name: String = "QTune"
 
@@ -36,8 +34,9 @@ final class QTuneRl(
     var ep = 1
     while (ep < episodes) {
       val frac = ep.toDouble / episodes
-      val eps = epsilon0 * (1.0 - frac)
-      val noise = noise0 * (1.0 - 0.8 * frac)
+      // ε-greedy rate and exploration noise decay from 0.5 and 0.30
+      val eps = 0.5 * (1.0 - frac)
+      val noise = 0.30 * (1.0 - 0.8 * frac)
       val action: Array[Double] =
         if (rng.nextDouble() < eps) space.randomUnit(rng)
         else critic match {

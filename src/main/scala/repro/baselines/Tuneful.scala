@@ -11,7 +11,7 @@ import scala.util.Random
   *     after which a tree-ensemble importance ranking keeps the significant
   *     parameters (the original uses incremental sensitivity analysis; we use
   *     GBRT importance over the same samples — both are tree-based filters).
-  *  2. GP-BO over the significant subspace, every other parameter pinned at
+  *  2. GP-BO over the significant subspace, every other parameter held at
   *     its Spark default.
   *
   * Not datasize-aware (re-tunes from scratch when ds changes) and never
@@ -37,10 +37,8 @@ final class Tuneful(
     val imp = gbrt.featureImportance
     val significant = space.names.zip(imp).sortBy { case (_, i) => -i }.take(keepParams).map(_._1)
 
-    // Phase 2: GP-BO over the significant subspace, others pinned at defaults
-    val sub = space.subspace(significant)
-    val pinned = space.defaults.values.view.filterKeys(n => !significant.contains(n)).toMap
-    BoSearch.run(log, sub, ds, rng, nInit = 3, nIter = boIters, pinned = pinned)
+    // Phase 2: GP-BO over the significant subspace, others held at defaults
+    BoSearch.run(log, space.subspace(significant, space.defaults), ds, rng, nInit = 3, nIter = boIters)
     log.result(log.best)
   }
 }

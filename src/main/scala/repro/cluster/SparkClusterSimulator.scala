@@ -19,8 +19,8 @@ import scala.util.Random
   *    behind the paper's §5.8 finding that LOCAT's wins come from GC time;
   *  - task scheduling overhead (locality wait, revive interval, driver cores);
   *  - small second-order effects for the remaining Table 2 parameters;
-  *  - multiplicative lognormal noise (`noiseSd`), deterministic in the
-  *    constructor seed and call order.
+  *  - multiplicative lognormal noise, deterministic in the constructor seed
+  *    and call order.
   *
   * `run` returns noisy observations (what tuners see); `expected*` return the
   * noise-free model value (used to compare tuners' final configurations).
@@ -29,10 +29,8 @@ final class SparkClusterSimulator(
     val workload: SimWorkload,
     val cluster: ClusterProfile,
     seed: Long,
-    commonNoiseSd: Double = 0.10,
-    queryNoiseSd: Double = 0.04,
-    shuffleNoiseSd: Double = 0.12,
 ) extends TuningObjective {
+  import SparkClusterSimulator.Resources
 
   private var calls: Long = 0L
 
@@ -48,31 +46,27 @@ final class SparkClusterSimulator(
     // this is what makes argmin-over-noisy-totals (every SOTA tuner's final
     // pick) overconfident — plus a per-query component that grows with the
     // query's shuffle intensity (stragglers, spills, fetch retries).
-    val common = math.exp(rng.nextGaussian() * commonNoiseSd)
+    val common = math.exp(rng.nextGaussian() * 0.10)
     val times = ids.map(id => queryTime(workload.profile(id), conf, datasizeGB))
     val perQuery = ids.zip(times).map { case (id, (t, _)) =>
       val q = workload.profile(id)
-      val idioSd = queryNoiseSd + shuffleNoiseSd * (1.0 - math.exp(-4.0 * q.shuffleGBPerGB))
+      val idioSd = 0.04 + 0.12 * (1.0 - math.exp(-4.0 * q.shuffleGBPerGB))
       id -> t * common * math.exp(rng.nextGaussian() * idioSd)
     }.toMap
     ExecResult(perQuery, times.map(_._2).sum * common)
   }
 
-  /** Noise-free total time of a query subset. */
-  def expectedTotal(conf: ConfigValues, datasizeGB: Double, subset: Option[Seq[String]] = None): Double = {
-    val ids = subset.getOrElse(workload.queryIds)
-    ids.map(id => queryTime(workload.profile(id), conf, datasizeGB)._1).sum
-  }
+  /** Noise-free total time of the application. */
+  def expectedTotal(conf: ConfigValues, datasizeGB: Double): Double =
+    workload.queryIds.map(id => queryTime(workload.profile(id), conf, datasizeGB)._1).sum
 
   /** Noise-free per-query times. */
   def expectedPerQuery(conf: ConfigValues, datasizeGB: Double): Map[String, Double] =
     workload.queryIds.map(id => id -> queryTime(workload.profile(id), conf, datasizeGB)._1).toMap
 
   /** Noise-free total GC seconds. */
-  def expectedGc(conf: ConfigValues, datasizeGB: Double, subset: Option[Seq[String]] = None): Double = {
-    val ids = subset.getOrElse(workload.queryIds)
-    ids.map(id => queryTime(workload.profile(id), conf, datasizeGB)._2).sum
-  }
+  def expectedGc(conf: ConfigValues, datasizeGB: Double): Double =
+    workload.queryIds.map(id => queryTime(workload.profile(id), conf, datasizeGB)._2).sum
 
   // ---------------------------------------------------------------- model --
 
@@ -85,9 +79,6 @@ final class SparkClusterSimulator(
     * always granted, with the per-executor memory components and core count
     * scaled down proportionally when the raw request would not fit.
     */
-  final case class Resources(execs: Int, coresPerExec: Int, slots: Int,
-                             execMemGB: Double, overheadGB: Double, offHeapGB: Double)
-
   def resources(conf: ConfigValues): Resources = {
     val reqCores = math.max(1, conf.int("spark.executor.cores"))
     val reqMemGB = math.max(1.0, conf("spark.executor.memory"))
@@ -212,8 +203,13 @@ final class SparkClusterSimulator(
     // spark.sql.retainGroupColumns changes result shape, not speed: no effect.
 
     val startupSec = 1.5 + execs * 0.002
-    val total = (q.serialSec + startupSec + computeSec * m + schedSec + gcSec) *
-      (1.0 + 0.0) // time unit: seconds
+    val total = q.serialSec + startupSec + computeSec * m + schedSec + gcSec
     (total, gcSec)
   }
+}
+
+object SparkClusterSimulator {
+  /** Executor resources granted for one configuration (see `resources`). */
+  final case class Resources(execs: Int, coresPerExec: Int, slots: Int,
+                             execMemGB: Double, overheadGB: Double, offHeapGB: Double)
 }

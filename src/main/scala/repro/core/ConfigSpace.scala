@@ -18,10 +18,16 @@ final case class ConfigValues(values: Map[String, Double]) {
   * Provides the [0,1]^k encoding used by every tuner (GP inputs, GA genomes,
   * RL actions), plus random / LHS sampling and the Spark-default point.
   *
+  * A space cut by `subspace` holds every dropped parameter at a fixed value,
+  * so `decode`, `random` and `defaults` always return the complete
+  * configuration that runs; only the kept `params` are encoded and searched.
+  *
   * @param params   the tunable parameters, in a fixed order
   * @param useRangeA true → ARM ranges (Table 2 "Range A"), false → x86 ("Range B")
+  * @param fixed    values of the parameters a `subspace` cut dropped
   */
-final case class ConfigSpace(params: Seq[ConfigParam], useRangeA: Boolean) {
+final class ConfigSpace private (val params: Seq[ConfigParam], val useRangeA: Boolean,
+                                 fixed: Map[String, Double]) {
   require(params.nonEmpty, "empty config space")
   val dim: Int = params.size
   val names: Seq[String] = params.map(_.name)
@@ -41,7 +47,7 @@ final case class ConfigSpace(params: Seq[ConfigParam], useRangeA: Boolean) {
       }
       p.name -> v
     }
-    ConfigValues(kv.toMap)
+    ConfigValues(fixed ++ kv)
   }
 
   /** Inverse of decode (bools map to 0/1 exactly; ints to their grid point). */
@@ -58,31 +64,35 @@ final case class ConfigSpace(params: Seq[ConfigParam], useRangeA: Boolean) {
   def randomUnit(rng: Random): Array[Double] = Array.fill(dim)(rng.nextDouble())
   def random(rng: Random): ConfigValues = decode(randomUnit(rng))
   def lhsUnit(n: Int, rng: Random): Seq[Array[Double]] = Lhs.sample(n, dim, rng)
-  def lhs(n: Int, rng: Random): Seq[ConfigValues] = lhsUnit(n, rng).map(decode)
 
   /** The Spark-default configuration, clamped into the cluster's ranges.
     * `spark.default.parallelism` (default "#", cluster dependent) is clamped
     * to the range lower bound.
     */
   def defaults: ConfigValues = ConfigValues(
-    params.map { p =>
+    fixed ++ params.map { p =>
       val (lo, hi) = range(p)
       p.name -> math.min(hi, math.max(lo, if (p.default < 0) lo else p.default))
-    }.toMap
+    }
   )
 
-  /** Restrict the space to the named parameters; all others will be pinned by
-    * callers (LOCAT pins non-important parameters at the incumbent values).
+  /** Restrict the search to the named parameters and hold every other one at
+    * its value in `at` (LOCAT holds non-important parameters at its pinned
+    * base, Tuneful at the defaults). Parameters this space already holds
+    * fixed keep their values.
     */
-  def subspace(keep: Seq[String]): ConfigSpace = {
+  def subspace(keep: Seq[String], at: ConfigValues): ConfigSpace = {
     val keepSet = keep.toSet
-    val sub = params.filter(p => keepSet(p.name))
+    val (sub, dropped) = params.partition(p => keepSet(p.name))
     require(sub.nonEmpty, "subspace would be empty")
-    ConfigSpace(sub, useRangeA)
+    new ConfigSpace(sub, useRangeA, fixed ++ dropped.map(p => p.name -> at(p.name)))
   }
 }
 
 object ConfigSpace {
+  def apply(params: Seq[ConfigParam], useRangeA: Boolean): ConfigSpace =
+    new ConfigSpace(params, useRangeA, Map.empty)
+
   /** Full 38-parameter space for a cluster (`arm = true` → Range A). */
   def full(arm: Boolean): ConfigSpace = ConfigSpace(ConfigParam.all, useRangeA = arm)
 }

@@ -20,7 +20,6 @@ object Iicp {
     * the KPCA feature extractor over the kept-parameter unit subspace.
     */
   final case class Model(
-      fullSpace: ConfigSpace,
       keptParams: Seq[String],
       sccByParam: Map[String, Double],
       subspace: ConfigSpace,
@@ -44,8 +43,7 @@ object Iicp {
     * i.i.d. design), so a dominant parameter's SCC can be deflated once BO
     * has concentrated near its optimum; the top-5 floor keeps it tunable.
     */
-  def cps(space: ConfigSpace, samples: Seq[(ConfigValues, Double)],
-          threshold: Double = SccThreshold): Seq[(String, Double)] = {
+  def cps(space: ConfigSpace, samples: Seq[(ConfigValues, Double)]): Seq[(String, Double)] = {
     require(samples.size >= 3, s"CPS needs >=3 samples, got ${samples.size}")
     val times = samples.map(_._2)
     val sccs = space.names.map { p =>
@@ -54,26 +52,27 @@ object Iicp {
     val ranked = sccs.sortBy { case (_, s) => -math.abs(s) }
     val floor = math.min(5, ranked.size)
     ranked.zipWithIndex.collect {
-      case ((p, s), i) if i < floor || math.abs(s) >= threshold => (p, s)
+      case ((p, s), i) if i < floor || math.abs(s) >= SccThreshold => (p, s)
     }
   }
 
-  /** Full IICP: CPS then CPE.
+  /** Full IICP: CPS then CPE. The model's subspace holds the CPS-dropped
+    * parameters at their defaults.
     *
     * @param kernel KPCA kernel; defaults to Gaussian with the median-distance
     *               bandwidth over the CPS-kept subspace (the paper's choice)
     */
   def fit(space: ConfigSpace, samples: Seq[(ConfigValues, Double)],
-          kernel: Option[KpcaKernel] = None,
-          varianceToKeep: Double = 0.9): Model = {
+          kernel: Option[KpcaKernel] = None): Model = {
     val ranked = cps(space, samples)
     val keptNames = ranked.map(_._1)
-    val sub = space.subspace(keptNames)
+    val sub = space.subspace(keptNames, space.defaults)
     val xs = samples.map { case (c, _) => sub.encode(c) }
     val k = kernel.getOrElse(KpcaKernel.Gaussian(math.max(KpcaKernel.medianSigma(xs), 1e-6)))
-    // CPE extracts roughly a third of the CPS-kept parameters (paper Fig 10).
+    // CPE extracts roughly a third of the CPS-kept parameters (paper Fig 10),
+    // fewer if they already cover 90% of the spectrum.
     val maxComponents = math.max(3, math.ceil(keptNames.size / 3.0).toInt)
-    val kpca = Kpca.fit(xs, k, varianceToKeep, maxComponents)
-    Model(space, keptNames, ranked.toMap, sub, kpca)
+    val kpca = Kpca.fit(xs, k, 0.9, maxComponents)
+    Model(keptNames, ranked.toMap, sub, kpca)
   }
 }

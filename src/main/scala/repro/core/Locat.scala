@@ -49,7 +49,9 @@ final class LocatSession(
 
   private var qcsaResult: Option[Qcsa.Result] = None
   private var iicpModel: Option[Iicp.Model] = None
-  private var pinnedBase: Option[ConfigValues] = None
+  // the space the RQA phase searches (its decode is the configuration that
+  // runs) and the map from its unit vectors to DAGP features
+  private var rqaSearch: Option[(ConfigSpace, Array[Double] => Array[Double])] = None
 
   /** QCSA outcome (available after tuneInitial). */
   def qcsa: Qcsa.Result = qcsaResult.getOrElse(throw new IllegalStateException("run tuneInitial first"))
@@ -93,31 +95,23 @@ final class LocatSession(
 
   // ---------------------------------------------------------------- phase 2
 
-  // With IICP off (Fig 15 "AP"), the DAGP input is the raw 38-dim encoding.
-  private def searchSubspace: ConfigSpace = if (useIicp) iicp.subspace else space
-  private def featuresOfConf(conf: ConfigValues): Array[Double] =
-    if (useIicp) iicp.features(conf) else space.encode(conf)
-  private def featuresOfSubUnit(u: Array[Double]): Array[Double] =
-    if (useIicp) iicp.featuresOfSubspaceUnit(u) else u
-
   private def addRqaSample(t: Trial, unit: Option[Array[Double]]): Unit = {
+    val (sub, features) = rqaSearch.get
     val rqaSeconds = qcsa.rqa.map(t.result.perQuerySeconds).sum
-    rqaSamples += ((Dagp.Sample(featuresOfConf(t.conf), t.datasizeGB, rqaSeconds), t.conf, unit))
+    rqaSamples += ((Dagp.Sample(features(sub.encode(t.conf)), t.datasizeGB, rqaSeconds), t.conf, unit))
   }
 
   private def boOnRqa(ds: Double, itMin: Int, itMax: Int): Unit = {
-    val sub = searchSubspace
+    val (sub, features) = rqaSearch.get
     var iter = 0
     var continue = true
     while (continue) {
       val window = rqaSamples.takeRight(GpTrainCap).toSeq
       // candidate pool in the important-parameter subspace: global random
       // draws plus coarse and fine perturbations of the incumbent
-      val (u, ei) = propose(window.map(_._1), window.map(_._3), 4, 10, sub, featuresOfSubUnit, ds,
+      val (u, ei) = propose(window.map(_._1), window.map(_._3), 4, 10, sub, features, ds,
         nRandom = 320, nLocal = 96, sigmas = Seq(0.08, 0.025))
-      // evaluate: important params from the candidate, the rest pinned
-      val conf = ConfigValues(pinnedBase.get.values ++ sub.decode(u).values)
-      addRqaSample(log.run(conf, ds, Some(qcsa.rqa)), Some(u))
+      addRqaSample(log.run(sub.decode(u), ds, Some(qcsa.rqa)), Some(u))
       iter += 1
       continue = iter < itMax && (iter < itMin || ei >= Dagp.EiStopThreshold)
     }
@@ -149,8 +143,12 @@ final class LocatSession(
     val resourceFamily = space.params.filter(p =>
       p.resource || p.name == "spark.executor.instances" || p.name == "spark.default.parallelism")
       .map(_.name).toSet
-    pinnedBase = Some(ConfigValues(space.defaults.values ++
-      log.best.conf.values.view.filterKeys(resourceFamily).toMap))
+    val best = log.best.conf
+    val pinned = ConfigValues(space.defaults.values.map { case (k, v) => k -> (if (resourceFamily(k)) best(k) else v) })
+    // With IICP off (Fig 15 "AP"), the DAGP input is the raw 38-dim encoding.
+    rqaSearch = Some(
+      if (useIicp) (space.subspace(iicp.keptParams, pinned), iicp.featuresOfSubspaceUnit)
+      else (space, identity))
     fullRuns.foreach(addRqaSample(_, None))
     boOnRqa(ds, minIter, maxIter)
     finishAtDs(ds)

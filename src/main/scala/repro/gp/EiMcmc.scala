@@ -42,15 +42,15 @@ object EiMcmc {
     }
 
     /** Expected improvement (minimization) averaged over hyper samples. */
-    def ei(x: Array[Double], best: Double, xi: Double = 0.0): Double = eiBatch(Array(x), best, xi)(0)
+    def ei(x: Array[Double], best: Double): Double = eiBatch(Array(x), best)(0)
 
     /** [[ei]] at every point of `xs`, scored with one batched prediction per draw. */
-    def eiBatch(xs: Array[Array[Double]], best: Double, xi: Double = 0.0): Array[Double] = {
+    def eiBatch(xs: Array[Array[Double]], best: Double): Array[Double] = {
       val tot = new Array[Double](xs.length)
       gps.map(_.predictBatch(xs)).foreach { case (mu, sd) =>
         var c = 0
         while (c < xs.length) {
-          val imp = best - mu(c) - xi
+          val imp = best - mu(c)
           tot(c) += (if (sd(c) < 1e-12) math.max(imp, 0.0)
                      else imp * Stats.normCdf(imp / sd(c)) + sd(c) * Stats.normPdf(imp / sd(c)))
           c += 1

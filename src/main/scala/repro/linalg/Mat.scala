@@ -177,14 +177,15 @@ object Mat {
     * Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue;
     * eigenvector k is column k of the returned matrix.
     */
-  def jacobiEigSym(aIn: Mat, maxSweeps: Int = 64, tol: Double = 1e-12): (Array[Double], Mat) = {
+  def jacobiEigSym(aIn: Mat): (Array[Double], Mat) = {
     require(aIn.rows == aIn.cols, "jacobiEigSym needs a square matrix")
     val n = aIn.rows
     val a = aIn.copy
     val v = eye(n)
     var sweep = 0
     var off = offDiagNorm(a)
-    while (sweep < maxSweeps && off > tol) {
+    val tol = 1e-12 // sweep until the off-diagonal norm is below this, at most 64 times
+    while (sweep < 64 && off > tol) {
       var p = 0
       while (p < n - 1) {
         var q = p + 1

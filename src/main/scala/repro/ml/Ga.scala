@@ -5,16 +5,14 @@ import scala.util.Random
 /** Genetic algorithm over unit-hypercube genomes — DAC's search procedure
   * (DAC builds GBRT performance models and searches them with a GA).
   *
-  * Minimizes `fitness`. Tournament selection, uniform crossover, Gaussian
-  * mutation, elitism of 1.
+  * Minimizes `fitness`. Tournament selection, uniform crossover (probability
+  * 0.9), Gaussian mutation (probability 0.15 per gene, sd 0.12), elitism of 1.
   */
 object Ga {
-  final case class Result(best: Array[Double], bestFitness: Double, generations: Int)
+  final case class Result(best: Array[Double], bestFitness: Double)
 
   def minimize(fitness: Array[Double] => Double, d: Int, rng: Random,
-               popSize: Int = 40, generations: Int = 60,
-               crossoverP: Double = 0.9, mutationP: Double = 0.15,
-               mutationSd: Double = 0.12): Result = {
+               popSize: Int = 40, generations: Int = 60): Result = {
     require(d >= 1 && popSize >= 4, "ga needs d>=1, popSize>=4")
     var pop = Array.fill(popSize)(Array.fill(d)(rng.nextDouble()))
     var fit = pop.map(fitness)
@@ -31,13 +29,13 @@ object Ga {
       while (next.size < popSize) {
         val p1 = tournament(); val p2 = tournament()
         val child =
-          if (rng.nextDouble() < crossoverP)
+          if (rng.nextDouble() < 0.9)
             Array.tabulate(d)(i => if (rng.nextBoolean()) p1(i) else p2(i))
           else p1.clone()
         var i = 0
         while (i < d) {
-          if (rng.nextDouble() < mutationP)
-            child(i) = math.min(1.0, math.max(0.0, child(i) + rng.nextGaussian() * mutationSd))
+          if (rng.nextDouble() < 0.15)
+            child(i) = math.min(1.0, math.max(0.0, child(i) + rng.nextGaussian() * 0.12))
           i += 1
         }
         next += child
@@ -47,6 +45,6 @@ object Ga {
       g += 1
     }
     val bi = fit.indices.minBy(fit)
-    Result(pop(bi), fit(bi), generations)
+    Result(pop(bi), fit(bi))
   }
 }

@@ -25,6 +25,7 @@ final class SparkObjective(
 
   private val listener = new MetricsListener
   spark.sparkContext.addSparkListener(listener)
+  private val skipped = scala.collection.mutable.Set.empty[String]
 
   override def workloadName: String = name
   override def queries: Seq[String] = queriesToRun.map(_.id)
@@ -39,11 +40,14 @@ final class SparkObjective(
       SparkObjective.settable.get(key) match {
         case Some(render) =>
           try spark.conf.set(key, render(v))
-          catch { case _: Exception => SparkObjective.recordSkipped(key) }
-        case None => SparkObjective.recordSkipped(key)
+          catch { case _: Exception => skipped += key }
+        case None => skipped += key
       }
     }
   }
+
+  /** Keys this objective's `applyConf` calls have skipped so far. */
+  def skippedKeys: Set[String] = skipped.toSet
 
   override def run(conf: ConfigValues, datasizeGB: Double, subset: Option[Seq[String]] = None): ExecResult = {
     applyConf(conf)
@@ -63,10 +67,6 @@ final class SparkObjective(
 }
 
 object SparkObjective {
-  private val skipped = scala.collection.concurrent.TrieMap.empty[String, Boolean]
-  private[sparkexec] def recordSkipped(key: String): Unit = skipped.put(key, true)
-  def skippedKeys: Set[String] = skipped.keySet.toSet
-
   private def boolS(v: Double): String = if (v >= 0.5) "true" else "false"
 
   /** Runtime-settable keys and how their Table 2 numeric value renders into a

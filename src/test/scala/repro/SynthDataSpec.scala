@@ -21,7 +21,7 @@ class SynthDataSpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     val sf = 0.002
     val li = SynthData.lineitem(spark, sf)
-    val maxOrder = li.agg(max("l_orderkey")).head.getLong(0)
+    val maxOrder = li.agg(max("l_orderkey")).head().getLong(0)
     assert(maxOrder <= 3000) // orders at sf=0.002
     val uv = SynthData.uservisits(spark, sf)
     val r = SynthData.rankings(spark, sf)

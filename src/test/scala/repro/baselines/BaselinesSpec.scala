@@ -1,7 +1,9 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{ConfigValues, Locat, TestObjectives, TrialLog, Tuner}
+import repro.core.{ConfigSpace, ConfigValues, ExecResult, Locat, TestObjectives, TrialLog, Tuner, TuningObjective,
+  TuningResult}
+import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 class BaselinesSpec extends AnyFunSuite {
@@ -107,13 +109,44 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("BoSearch pins parameters when asked") {
     val obj = TestObjectives.synthetic(8)
-    val sub = obj.space.subspace(Seq("knob.one", "knob.two"))
-    val pinned = Map("noise.a" -> 7.0, "noise.b" -> 0.25, "noise.c" -> 0.0, "noise.d" -> 150.0)
+    val pinned = obj.space.defaults.updated("noise.a", 7.0).updated("noise.b", 0.25)
+      .updated("noise.c", 0.0).updated("noise.d", 150.0)
+    val sub = obj.space.subspace(Seq("knob.one", "knob.two"), pinned)
     val log = new TrialLog(obj)
-    BoSearch.run(log, sub, 100.0, new Random(8), nInit = 3, nIter = 5, pinned = pinned)
+    BoSearch.run(log, sub, 100.0, new Random(8), nInit = 3, nIter = 5)
     log.trials.foreach { t =>
       assert(t.conf("noise.a") == 7.0 && t.conf("noise.d") == 150.0)
     }
+  }
+
+  test("inside an IICP graft the configuration the base tuner builds is the one that runs") {
+    val obj = TestObjectives.synthetic(10)
+    val ran = ArrayBuffer.empty[ConfigValues]
+    val recordingObjective = new TuningObjective {
+      def workloadName: String = obj.workloadName
+      def queries: Seq[String] = obj.queries
+      def run(conf: ConfigValues, ds: Double, subset: Option[Seq[String]]): ExecResult = {
+        ran += conf
+        obj.run(conf, ds, subset)
+      }
+    }
+    val built = ArrayBuffer.empty[ConfigValues]
+    var searchedDim = 0
+    val recordingTuner = new Tuner {
+      def name: String = "recording"
+      def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
+        searchedDim = space.dim
+        val rng = new Random(seed)
+        val log = new TrialLog(objective)
+        (0 until 4).foreach { _ => val c = space.random(rng); built += c; log.run(c, ds) }
+        log.result(log.best)
+      }
+    }
+    val r = new QcsaIicpGraft(recordingTuner, useQcsa = false, useIicp = true, nIicp = 10)
+      .tune(recordingObjective, obj.space, 100.0, 10)
+    assert(searchedDim < obj.space.dim) // CPS dropped a parameter
+    assert(ran.slice(10, 14) == built)  // after the 10 IICP samples
+    assert(r.trials.map(_.conf) == ran)
   }
 
   test("golden: BoSearch trial costs equal those recorded before batched EI scoring") {

@@ -77,16 +77,44 @@ class ConfigSpaceSpec extends AnyFunSuite {
   }
 
   test("lhs sampling produces valid distinct configurations") {
-    val cs = arm.lhs(10, new Random(3))
+    val cs = arm.lhsUnit(10, new Random(3)).map(arm.decode)
     assert(cs.size == 10)
     assert(cs.distinct.size > 1)
   }
 
   test("subspace keeps only the requested parameters and rejects empty") {
-    val sub = arm.subspace(Seq("spark.executor.memory", "spark.sql.shuffle.partitions"))
+    val sub = arm.subspace(Seq("spark.executor.memory", "spark.sql.shuffle.partitions"), arm.defaults)
     assert(sub.dim == 2)
     assert(sub.names.toSet == Set("spark.executor.memory", "spark.sql.shuffle.partitions"))
-    intercept[IllegalArgumentException] { arm.subspace(Seq("no.such.param")) }
+    intercept[IllegalArgumentException] { arm.subspace(Seq("no.such.param"), arm.defaults) }
+  }
+
+  test("a subspace's decode, random and defaults hold every parameter, the dropped ones at `at`") {
+    val rng = new Random(4)
+    val at = arm.random(rng)
+    val kept = Seq("spark.executor.memory", "spark.sql.shuffle.partitions", "spark.rdd.compress")
+    val sub = arm.subspace(kept, at)
+    val confs = Seq(sub.decode(sub.randomUnit(rng)), sub.random(rng), sub.defaults)
+    confs.foreach { c =>
+      assert(c.values.keySet == arm.names.toSet)
+      arm.names.filterNot(kept.contains).foreach(n => assert(c(n) == at(n), n))
+    }
+    kept.foreach(n => assert(sub.defaults(n) == arm.defaults(n), n))
+  }
+
+  test("a subspace of a subspace keeps the outer fixed values") {
+    val rng = new Random(5)
+    val outerAt = arm.random(rng)
+    val outer = arm.subspace(Seq("spark.executor.memory", "spark.executor.cores", "spark.sql.shuffle.partitions"), outerAt)
+    // a full configuration that disagrees with outerAt almost everywhere
+    val innerAt = arm.random(rng)
+    val inner = outer.subspace(Seq("spark.executor.memory"), innerAt)
+    assert(inner.names == Seq("spark.executor.memory"))
+    for (c <- Seq(inner.decode(Array(0.3)), inner.random(rng), inner.defaults)) {
+      assert(c.values.keySet == arm.names.toSet)
+      Seq("spark.executor.cores", "spark.sql.shuffle.partitions").foreach(n => assert(c(n) == innerAt(n), n))
+      arm.names.filterNot(outer.names.contains).foreach(n => assert(c(n) == outerAt(n), n))
+    }
   }
 
   test("ConfigValues accessors: int, bool, updated, missing key") {

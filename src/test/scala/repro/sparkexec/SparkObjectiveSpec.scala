@@ -54,15 +54,15 @@ class SparkObjectiveSpec extends SparkSpec {
 
   test("every runtime-space parameter is settable on this Spark version") {
     objective.applyConf(SparkObjective.runtimeSpace.defaults)
-    val notSettable = SparkObjective.runtimeSpace.names.toSet intersect SparkObjective.skippedKeys
+    val notSettable = SparkObjective.runtimeSpace.names.toSet intersect objective.skippedKeys
     assert(notSettable.isEmpty, s"not settable in this Spark: $notSettable")
     spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
   }
 
   test("keys outside the runtime-settable set are recorded in skippedKeys") {
     objective.applyConf(ConfigSpace.full(arm = true).defaults)
-    assert(SparkObjective.skippedKeys.contains("spark.executor.memory"))
-    assert((SparkObjective.runtimeSpace.names.toSet intersect SparkObjective.skippedKeys).isEmpty)
+    assert(objective.skippedKeys.contains("spark.executor.memory"))
+    assert((SparkObjective.runtimeSpace.names.toSet intersect objective.skippedKeys).isEmpty)
     // restore the shared session's settings for other suites
     objective.applyConf(SparkObjective.runtimeSpace.defaults)
     spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
