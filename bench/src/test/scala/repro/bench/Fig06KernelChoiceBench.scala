@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
+import repro.cluster.{ClusterProfile, SparkClusterSimulator}
 import repro.core.{ConfigSpace, Iicp}
 import repro.stats.{KpcaKernel, Stats}
 import scala.util.Random

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
+import repro.cluster.{ClusterProfile, SparkClusterSimulator}
 import repro.core.ConfigSpace
 import repro.stats.Stats
 import scala.util.Random

@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.ClusterProfile
 
 /** Fig 11 / Fig 12 — optimization-time reduction of LOCAT vs the four SOTA
   * tuners on both clusters at 300 GB.

@@ -19,7 +19,6 @@ object SynthData {
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
 
   def lineitem(spark: SparkSession, sf: Double = 0.01): DataFrame = {
-    import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
     spark.range(n(NLineitemPerSf, sf)).select(
       (rand(0) * nOrders + 1).cast(LongType)           as "l_orderkey",
@@ -96,7 +95,6 @@ object SynthData {
     * the Aggregation query's group count stays oracle-friendly.
     */
   def uservisits(spark: SparkSession, sf: Double = 0.01): DataFrame = {
-    import spark.implicits._
     val nUrl = n(NRankingsPerSf, sf)
     spark.range(n(NUserVisitsPerSf, sf)).select(
       concat(lit("ip_"), (rand(7) * NSourceIps + 1).cast(LongType).cast(StringType))    as "sourceip",

@@ -1,7 +1,9 @@
 package repro.baselines
 
 import repro.core.{ConfigSpace, ConfigValues, TrialLog, TuningObjective, TuningResult}
-import repro.gp.{EiMcmc, GpKernel}
+import repro.gp.EiMcmc
+import repro.gp.EiMcmc.Observation
+import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** Shared plain GP-BO loop used by the SOTA baselines (Tuneful's search
@@ -14,19 +16,20 @@ import scala.util.Random
   *                        analytical memory model prunes infeasible ones)
   */
 object BoSearch {
-  /** Most recent trials the GP trains on. */
-  private val GpTrainCap = 80
-
   /** Append `nInit` LHS points and `nIter` BO picks to `log`. The GP trains
     * only on the trials this call adds.
     */
   def run(log: TrialLog, space: ConfigSpace, ds: Double, rng: Random,
           nInit: Int, nIter: Int,
           candidateFilter: ConfigValues => Boolean = _ => true): Unit = {
-    val kernel = GpKernel.Matern52(ard = false)
-    val start = log.size
-
-    def eval(u: Array[Double]): Unit = log.run(space.decode(u), ds)
+    // GP inputs are the trials' encoded configs (bools/ints are exact), each
+    // also the unit the pool perturbs when its trial is the fastest
+    val obs = ArrayBuffer.empty[Observation]
+    def eval(u: Array[Double]): Unit = {
+      val t = log.run(space.decode(u), ds)
+      val x = space.encode(t.conf)
+      obs += Observation(x, t.result.totalSeconds, Some(x))
+    }
 
     /** A random point satisfying the filter (bounded retries, then give up
       * on the constraint — never on the evaluation). */
@@ -40,26 +43,12 @@ object BoSearch {
     if (nInit > 0) space.lhsUnit(nInit, rng).foreach { u =>
       eval(if (candidateFilter(space.decode(u))) u else filteredRandom())
     }
-    if (log.size == start) eval(filteredRandom()) // GP needs at least one point
+    if (obs.isEmpty) eval(filteredRandom()) // GP needs at least one point
 
-    val unitOf = scala.collection.mutable.Map.empty[Int, Array[Double]]
-    // reconstruct units for GP training from configs (bools/ints are exact)
-    def unit(i: Int): Array[Double] = unitOf.getOrElseUpdate(i, space.encode(log(i).conf))
-
-    var it = 0
-    while (it < nIter) {
-      val idx = (start until log.size).takeRight(GpTrainCap)
-      val xs = idx.map(unit)
-      val ys = idx.map(i => math.log(log(i).result.totalSeconds))
-      val model = EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = 3, nBurn = 6, thin = 2)
-      val best = ys.min
-      // generate and filter in draw order, then score the survivors in one batch
-      val pool = EiMcmc.candidatePool(rng, space.dim, 120, Some(xs(ys.indexOf(best))), 40)
-        .filter(u => candidateFilter(space.decode(u)))
-      val (bestI, bestEi) = model.maxEi(pool, best)
-      // nothing scored above −∞: no candidate passed the filter, or every EI was NaN
-      eval(if (bestEi > Double.NegativeInfinity) pool(bestI) else space.randomUnit(rng))
-      it += 1
+    (0 until nIter).foreach { _ =>
+      eval(EiMcmc.propose(obs.toSeq, rng, nSamples = 3, nBurn = 6, thin = 2, space.dim,
+        nRandom = 120, nLocal = 40, sigmas = Seq(0.08), input = identity,
+        accept = u => candidateFilter(space.decode(u)))._1)
     }
   }
 }

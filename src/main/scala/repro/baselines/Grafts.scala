@@ -43,7 +43,7 @@ final class QcsaIicpGraft(
     val samples = log.trials
 
     val rqa =
-      if (useQcsa) Qcsa.analyze(samples.map(_.result.perQuerySeconds), objective.queries).rqa
+      if (useQcsa) Qcsa.analyze(samples.map(_.result.perQuerySeconds), objective.queries).sensitive
       else objective.queries
 
     val searchSpace =

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.gp.EiMcmc
+import repro.gp.EiMcmc.Observation
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -37,15 +38,11 @@ final class LocatSession(
 ) {
   require(nIicp <= nQcsa, "IICP samples are a prefix of the QCSA samples")
 
-  /** Most recent RQA samples the DAGP trains on. */
-  private val GpTrainCap = 80
-
   private val rng = new Random(seed)
   private val log = new TrialLog(objective)
-  // DAGP training set of the RQA phase: each sample with its configuration
-  // and, for BO picks, the subspace unit it was chosen at (None for the
-  // seeded QCSA-phase runs)
-  private val rqaSamples = ArrayBuffer.empty[(Dagp.Sample, ConfigValues, Option[Array[Double]])]
+  // DAGP training set of the RQA phase: each trial with its observation
+  // (RQA seconds; for BO picks, the subspace unit it was chosen at)
+  private val rqaSamples = ArrayBuffer.empty[(Trial, Observation)]
 
   private var qcsaResult: Option[Qcsa.Result] = None
   private var iicpModel: Option[Iicp.Model] = None
@@ -60,45 +57,26 @@ final class LocatSession(
   /** Cumulative execution seconds paid so far across all tuning phases. */
   def cumulativeOptimizationSeconds: Double = log.cost
 
-  /** One DAGP BO step at datasize `ds`: fit on `samples` with `nMcmc` draws
-    * after `nBurn` burn-in steps, then score `nRandom` uniform units of `sub`
-    * plus `nLocal` perturbations of the best sample's unit (`units(i)` is
-    * sample i's unit, if it has one), each mapped to a DAGP input through
-    * `features`. Returns the highest-EI unit and its EI.
-    */
-  private def propose(samples: Seq[Dagp.Sample], units: Seq[Option[Array[Double]]], nMcmc: Int, nBurn: Int,
-                      sub: ConfigSpace, features: Array[Double] => Array[Double], ds: Double,
-                      nRandom: Int, nLocal: Int, sigmas: Seq[Double]): (Array[Double], Double) = {
-    val model = Dagp.fit(samples, rng, nMcmc, nBurn)
-    val ys = samples.map(s => math.log(s.seconds))
-    val best = ys.min
-    val pool = EiMcmc.candidatePool(rng, sub.dim, nRandom, units(ys.indexOf(best)), nLocal, sigmas)
-    val (i, ei) = model.maxEi(pool.map(u => Dagp.inputVec(features(u), ds)), best)
-    (pool(i), ei)
-  }
-
   // ---------------------------------------------------------------- phase 1
 
   private def collectQcsaSamples(ds: Double): Unit = {
-    val samples = ArrayBuffer.empty[Dagp.Sample]
+    val samples = ArrayBuffer.empty[Observation]
     def runFull(u: Array[Double]): Unit =
-      samples += Dagp.Sample(u, ds, log.run(space.decode(u), ds).result.totalSeconds)
+      samples += Observation(Dagp.inputVec(u, ds), log.run(space.decode(u), ds).result.totalSeconds, Some(u))
     // 3 LHS start points (paper §3.4)
     space.lhsUnit(3, rng).foreach(runFull)
     // BO with DAGP over the raw full space until nQcsa executions exist
-    while (samples.size < nQcsa) {
-      val window = samples.toSeq
-      runFull(propose(window, window.map(s => Some(s.features)), 3, 8, space, identity, ds,
-        nRandom = 192, nLocal = 48, sigmas = Seq(0.08))._1)
-    }
+    while (samples.size < nQcsa)
+      runFull(EiMcmc.propose(samples.toSeq, rng, nSamples = 3, nBurn = 8, thin = 3, space.dim,
+        nRandom = 192, nLocal = 48, sigmas = Seq(0.08), input = Dagp.inputVec(_, ds))._1)
   }
 
   // ---------------------------------------------------------------- phase 2
 
   private def addRqaSample(t: Trial, unit: Option[Array[Double]]): Unit = {
     val (sub, features) = rqaSearch.get
-    val rqaSeconds = qcsa.rqa.map(t.result.perQuerySeconds).sum
-    rqaSamples += ((Dagp.Sample(features(sub.encode(t.conf)), t.datasizeGB, rqaSeconds), t.conf, unit))
+    val rqaSeconds = qcsa.sensitive.map(t.result.perQuerySeconds).sum
+    rqaSamples += ((t, Observation(Dagp.inputVec(features(sub.encode(t.conf)), t.datasizeGB), rqaSeconds, unit)))
   }
 
   private def boOnRqa(ds: Double, itMin: Int, itMax: Int): Unit = {
@@ -106,12 +84,11 @@ final class LocatSession(
     var iter = 0
     var continue = true
     while (continue) {
-      val window = rqaSamples.takeRight(GpTrainCap).toSeq
       // candidate pool in the important-parameter subspace: global random
       // draws plus coarse and fine perturbations of the incumbent
-      val (u, ei) = propose(window.map(_._1), window.map(_._3), 4, 10, sub, features, ds,
-        nRandom = 320, nLocal = 96, sigmas = Seq(0.08, 0.025))
-      addRqaSample(log.run(sub.decode(u), ds, Some(qcsa.rqa)), Some(u))
+      val (u, ei) = EiMcmc.propose(rqaSamples.map(_._2).toSeq, rng, nSamples = 4, nBurn = 10, thin = 3, sub.dim,
+        nRandom = 320, nLocal = 96, sigmas = Seq(0.08, 0.025), input = u => Dagp.inputVec(features(u), ds))
+      addRqaSample(log.run(sub.decode(u), ds, Some(qcsa.sensitive)), Some(u))
       iter += 1
       continue = iter < itMax && (iter < itMin || ei >= Dagp.EiStopThreshold)
     }
@@ -122,9 +99,9 @@ final class LocatSession(
     // datasize is lowest: the surrogate denoises single observations, so
     // LOCAT sidesteps the winner's curse of argmin-over-noisy-runs.
     val atDs = rqaSamples.filter(_._1.datasizeGB == ds)
-    val model = Dagp.fit(rqaSamples.takeRight(GpTrainCap).map(_._1).toSeq, rng, 4, 10)
-    val (mus, _) = model.predictBatch(atDs.map(s => Dagp.inputVec(s._1.features, ds)).toArray)
-    log.result(log.run(atDs(atDs.indices.minBy(i => mus(i)))._2, ds))
+    val model = EiMcmc.fitLogSeconds(rqaSamples.map(_._2).toSeq, rng, nSamples = 4, nBurn = 10, thin = 3)
+    val (mus, _) = model.predictBatch(atDs.map(_._2.x).toArray)
+    log.result(log.run(atDs(atDs.indices.minBy(i => mus(i)))._1.conf, ds))
   }
 
   /** Full LOCAT procedure for the first (or only) datasize. */

@@ -15,7 +15,7 @@ object Qcsa {
 
   /** @param cvs        CV per query id
     * @param threshold  CIQ/CSQ boundary: min(CV) + (max(CV) − min(CV)) / 3
-    * @param sensitive  CSQs, in the application's original query order
+    * @param sensitive  CSQs, in the application's original query order: the RQA
     * @param insensitive CIQs removed from sample collection
     */
   final case class Result(
@@ -23,9 +23,7 @@ object Qcsa {
       threshold: Double,
       sensitive: Seq[String],
       insensitive: Seq[String],
-  ) {
-    def rqa: Seq[String] = sensitive
-  }
+  )
 
   /** @param executions per-query times of each run, all runs covering the
     *                   same query set; `queryOrder` fixes RQA ordering.

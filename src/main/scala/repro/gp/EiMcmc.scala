@@ -77,11 +77,11 @@ object EiMcmc {
   /** MH-sample `nSamples` hyper vectors and fit one GP each.
     *
     * `nBurn` steps of burn-in, then `thin`-spaced draws. Each likelihood
-    * evaluation refits a Cholesky (O(n³)), so callers cap the training-set
-    * size (the tuners keep n ≤ ~120).
+    * evaluation refits a Cholesky (O(n³)), so [[fitLogSeconds]] trains on a
+    * window of the most recent observations.
     */
   def fitMarginalized(kernel: GpKernel, x: Seq[Array[Double]], y: Seq[Double], rng: Random,
-                      nSamples: Int = 5, nBurn: Int = 15, thin: Int = 3): Marginalized = {
+                      nSamples: Int, nBurn: Int, thin: Int = 3): Marginalized = {
     val d = x.head.length
     var current = GaussianProcess.defaultLogHypers(kernel, d)
     var currentGp = GaussianProcess.fit(kernel, x, y, current)
@@ -111,6 +111,48 @@ object EiMcmc {
     // broad zero-mean Gaussian prior over log-hypers, sd = 2
     val prior = gp.logHypers.map(h => -0.5 * h * h / 4.0).sum
     gp.logMarginalLikelihood + prior
+  }
+
+  /** One observation a BO step trains on: the GP input `x`, the measured
+    * `seconds` (the GP models their log) and, for a configuration a BO step
+    * proposed, the unit it was proposed at.
+    */
+  final case class Observation(x: Array[Double], seconds: Double, unit: Option[Array[Double]]) {
+    require(seconds > 0, "execution time must be positive")
+  }
+
+  /** Most recent observations a BO step trains on: each likelihood
+    * evaluation is O(n³).
+    */
+  private val TrainWindow = 80
+
+  /** The GP-BO surrogate: the marginalized isotropic Matérn-5/2 GP over the
+    * log seconds of the last `TrainWindow` observations.
+    */
+  def fitLogSeconds(obs: Seq[Observation], rng: Random, nSamples: Int, nBurn: Int, thin: Int): Marginalized = {
+    val window = obs.takeRight(TrainWindow)
+    fitMarginalized(GpKernel.Matern52(ard = false), window.map(_.x), window.map(o => math.log(o.seconds)), rng,
+      nSamples, nBurn, thin)
+  }
+
+  /** One BO step, shared by every GP tuner: fit [[fitLogSeconds]], draw a
+    * [[candidatePool]] of `dim`-units around the unit of the fastest windowed
+    * observation (when it has one), drop the candidates `accept` rejects, and
+    * score the rest at their GP inputs `input(u)`. Returns the highest-EI
+    * unit and its EI, or a uniform unit and −∞ when nothing scores (every
+    * candidate rejected, or every EI NaN).
+    */
+  def propose(obs: Seq[Observation], rng: Random, nSamples: Int, nBurn: Int, thin: Int,
+              dim: Int, nRandom: Int, nLocal: Int, sigmas: Seq[Double],
+              input: Array[Double] => Array[Double],
+              accept: Array[Double] => Boolean = _ => true): (Array[Double], Double) = {
+    val window = obs.takeRight(TrainWindow)
+    val model = fitLogSeconds(window, rng, nSamples, nBurn, thin)
+    val ys = window.map(o => math.log(o.seconds))
+    val best = ys.min
+    val pool = candidatePool(rng, dim, nRandom, window(ys.indexOf(best)).unit, nLocal, sigmas).filter(accept)
+    val (i, ei) = model.maxEi(pool.map(input), best)
+    if (ei > Double.NegativeInfinity) (pool(i), ei) else (Array.fill(dim)(rng.nextDouble()), ei)
   }
 
   /** The candidate pool every BO step scores: `nRandom` uniform points in

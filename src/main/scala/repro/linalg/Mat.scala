@@ -14,67 +14,6 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) {
 
   def copy: Mat = new Mat(rows, cols, data.clone())
 
-  def t: Mat = {
-    val out = Mat.zeros(cols, rows)
-    var i = 0
-    while (i < rows) { var j = 0; while (j < cols) { out(j, i) = this(i, j); j += 1 }; i += 1 }
-    out
-  }
-
-  def *(other: Mat): Mat = {
-    require(cols == other.rows, s"dim mismatch: ($rows x $cols) * (${other.rows} x ${other.cols})")
-    val out = Mat.zeros(rows, other.cols)
-    var i = 0
-    while (i < rows) {
-      var k = 0
-      while (k < cols) {
-        val a = this(i, k)
-        if (a != 0.0) {
-          var j = 0
-          while (j < other.cols) { out(i, j) += a * other(k, j); j += 1 }
-        }
-        k += 1
-      }
-      i += 1
-    }
-    out
-  }
-
-  def *(v: Array[Double]): Array[Double] = {
-    require(cols == v.length, s"dim mismatch: ($rows x $cols) * vec(${v.length})")
-    val out = new Array[Double](rows)
-    var i = 0
-    while (i < rows) {
-      var s = 0.0; var j = 0
-      while (j < cols) { s += this(i, j) * v(j); j += 1 }
-      out(i) = s; i += 1
-    }
-    out
-  }
-
-  def +(other: Mat): Mat = {
-    require(rows == other.rows && cols == other.cols, "dim mismatch in +")
-    val out = data.clone()
-    var i = 0
-    while (i < out.length) { out(i) += other.data(i); i += 1 }
-    new Mat(rows, cols, out)
-  }
-
-  def scale(a: Double): Mat = {
-    val out = data.clone()
-    var i = 0
-    while (i < out.length) { out(i) *= a; i += 1 }
-    new Mat(rows, cols, out)
-  }
-
-  /** Frobenius distance to another matrix — test helper. */
-  def dist(other: Mat): Double = {
-    require(rows == other.rows && cols == other.cols, "dim mismatch in dist")
-    var s = 0.0; var i = 0
-    while (i < data.length) { val d = data(i) - other.data(i); s += d * d; i += 1 }
-    math.sqrt(s)
-  }
-
   override def toString: String =
     (0 until rows).map(i => (0 until cols).map(j => f"${this(i, j)}%.4f").mkString(" ")).mkString("\n")
 }

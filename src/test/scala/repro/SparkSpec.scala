@@ -6,22 +6,26 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM (48g when unset). Broadcast joins are disabled so the
+  * lite queries' joins exercise the shuffle path on the SF 0.002–0.003 test
+  * tables; re-enable per-query if the paper's contribution is the broadcast
+  * side.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
 }
 
 object SparkSpec {
+  /** Shuffle partitions for the test tables, at most 18 000 rows each
+    * (lineitem at SF 0.003): one partition per core of a 4-core machine.
+    */
+  val ShufflePartitions: Int = 4
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", ShufflePartitions)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup

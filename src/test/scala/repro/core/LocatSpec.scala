@@ -20,8 +20,8 @@ class LocatSpec extends AnyFunSuite {
     val session = new LocatSession(obj, obj.space, seed = 2, nQcsa = 15, nIicp = 12,
       minIter = 5, maxIter = 10)
     session.tuneInitial(100.0)
-    assert(!session.qcsa.rqa.contains("insens"))
-    assert(session.qcsa.rqa.toSet.subsetOf(Set("sens1", "sens2")))
+    assert(!session.qcsa.sensitive.contains("insens"))
+    assert(session.qcsa.sensitive.toSet.subsetOf(Set("sens1", "sens2")))
   }
 
   test("LOCAT's IICP keeps the two real knobs") {

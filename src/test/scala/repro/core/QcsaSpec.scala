@@ -38,14 +38,14 @@ class QcsaSpec extends AnyFunSuite {
   test("single-query application is never emptied") {
     val execs = Seq(Map("only" -> 5.0), Map("only" -> 5.1), Map("only" -> 4.9))
     val r = Qcsa.analyze(execs, Seq("only"))
-    assert(r.rqa == Seq("only"))
+    assert(r.sensitive == Seq("only"))
     assert(r.insensitive.isEmpty)
   }
 
   test("all-identical CVs keep every query (degenerate range)") {
     val execs = Seq(Map("a" -> 1.0, "b" -> 2.0), Map("a" -> 2.0, "b" -> 4.0))
     val r = Qcsa.analyze(execs, Seq("a", "b")) // both CV = 1/3
-    assert(r.rqa == Seq("a", "b"))
+    assert(r.sensitive == Seq("a", "b"))
   }
 
   test("RQA preserves original query order") {

@@ -1,6 +1,7 @@
 package repro.gp
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Dagp
 import repro.linalg.{Mat, RowCholesky}
 import repro.stats.Stats
 import scala.util.Random
@@ -367,6 +368,79 @@ class GpSpec extends AnyFunSuite {
     }
   }
 
+  test("propose returns the same bits and RNG state as the two BO steps it replaced") {
+    // LOCAT's step as written before the shared one, fitting as Dagp.fit did:
+    // samples are (features, datasize, seconds), units(i) is sample i's unit
+    def locatStep(rng: Random, samples: Seq[(Array[Double], Double, Double)], units: Seq[Option[Array[Double]]],
+                  nMcmc: Int, nBurn: Int, dim: Int, features: Array[Double] => Array[Double], ds: Double,
+                  nRandom: Int, nLocal: Int, sigmas: Seq[Double]): (Array[Double], Double) = {
+      val xs = samples.map { case (f, d, _) => Dagp.inputVec(f, d) }
+      val ys = samples.map(s => math.log(s._3))
+      val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = nMcmc, nBurn = nBurn)
+      val best = ys.min
+      val pool = EiMcmc.candidatePool(rng, dim, nRandom, units(ys.indexOf(best)), nLocal, sigmas)
+      val (i, ei) = model.maxEi(pool.map(u => Dagp.inputVec(features(u), ds)), best)
+      (pool(i), ei)
+    }
+    // BoSearch's loop body as written before the shared step, on the
+    // windowed units xs and their log seconds ys
+    def boStep(rng: Random, xs: Seq[Array[Double]], ys: Seq[Double], dim: Int,
+               filter: Array[Double] => Boolean): (Array[Double], Double) = {
+      val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 6, thin = 2)
+      val best = ys.min
+      val pool = EiMcmc.candidatePool(rng, dim, 120, Some(xs(ys.indexOf(best))), 40).filter(filter)
+      val (bestI, bestEi) = model.maxEi(pool, best)
+      if (bestEi > Double.NegativeInfinity) (pool(bestI), bestEi) else (Array.fill(dim)(rng.nextDouble()), bestEi)
+    }
+    def seconds(u: Array[Double]): Double =
+      10.0 + 50.0 * (u(0) - 0.3) * (u(0) - 0.3) + 20.0 * u(1) * u(2) + u.sum
+    val d = 5
+    val ds = 300.0
+    val rng = new Random(33)
+    val units = Vector.fill(90)(Array.fill(d)(rng.nextDouble()))
+    val kpca = (u: Array[Double]) => Array(u(0) * u(1), u(2) + u(3), math.sin(3 * u(4))) // a stand-in feature map
+    def same(k: String, got: ((Array[Double], Double), Random), want: ((Array[Double], Double), Random)): Unit = {
+      val (((gu, ge), rGot), ((wu, we), rWant)) = (got, want)
+      assert(gu.map(bits).toSeq == wu.map(bits).toSeq && bits(ge) == bits(we), s"$k: unit or EI differs")
+      assert(rGot.nextLong() == rWant.nextLong(), s"$k leaves the RNG elsewhere")
+    }
+    def run[T](seed: Long)(step: Random => T): (T, Random) = { val r = new Random(seed); (step(r), r) }
+
+    // LOCAT: the QCSA phase (every sample has its unit), the RQA phase past
+    // the window (its first 30 samples, the seeded QCSA runs, have none) and
+    // the RQA phase's first step (no sample has a unit)
+    val locatCases = Seq[(String, Int, Int => Option[Array[Double]], Array[Double] => Array[Double], Int, Int, Int,
+                          Int, Seq[Double])](
+      ("qcsa", 12, i => Some(units(i)), identity, 3, 8, 192, 48, Seq(0.08)),
+      ("rqa", 90, i => if (i < 30) None else Some(units(i)), kpca, 4, 10, 320, 96, Seq(0.08, 0.025)),
+      ("rqa-seeded", 30, _ => None, kpca, 4, 10, 320, 96, Seq(0.08, 0.025)))
+    locatCases.zipWithIndex.foreach { case ((k, n, unitOf, features, nMcmc, nBurn, nRandom, nLocal, sigmas), c) =>
+      val samples = (0 until n).map(i => (features(units(i)), ds, seconds(units(i))))
+      val window = samples.indices.takeRight(80)
+      val want = run(40 + c)(locatStep(_, window.map(samples), window.map(unitOf), nMcmc, nBurn, d, features, ds,
+        nRandom, nLocal, sigmas))
+      val obs = samples.indices.map(i => EiMcmc.Observation(Dagp.inputVec(samples(i)._1, ds), samples(i)._3, unitOf(i)))
+      val got = run(40 + c)(EiMcmc.propose(obs, _, nMcmc, nBurn, 3, d, nRandom, nLocal, sigmas,
+        u => Dagp.inputVec(features(u), ds)))
+      same(s"LOCAT $k", got, want)
+    }
+
+    // BoSearch: no filter, GBO-RL-like filter, and a filter that rejects every candidate
+    val boCases = Seq[(String, Int, Array[Double] => Boolean)](
+      ("unfiltered", 20, _ => true), ("filtered", 90, u => u(0) + u(1) < 1.0), ("all rejected", 20, _ => false))
+    boCases.zipWithIndex.foreach { case ((k, n, accept), c) =>
+      val window = units.take(n).takeRight(80)
+      val want = run(50 + c)(boStep(_, window, window.map(u => math.log(seconds(u))), d, accept))
+      val obs = units.take(n).map(u => EiMcmc.Observation(u, seconds(u), Some(u)))
+      val got = run(50 + c)(EiMcmc.propose(obs, _, 3, 6, 2, d, 120, 40, Seq(0.08), identity, accept))
+      same(s"BoSearch $k", got, want)
+      if (k == "all rejected") {
+        assert(got._1._2 == Double.NegativeInfinity)
+        assert(got._1._1.length == d && got._1._1.forall(v => v >= 0.0 && v < 1.0))
+      }
+    }
+  }
+
   test("candidatePool without an incumbent draws only the uniform points") {
     val pool = EiMcmc.candidatePool(new Random(31), 3, 25, None, 40)
     assert(pool.length == 25)
@@ -387,14 +461,15 @@ class GpSpec extends AnyFunSuite {
   test("BO loop with EI-MCMC converges on a 2-d quadratic") {
     val rng = new Random(10)
     def f(x: Array[Double]): Double = (x(0) - 0.7) * (x(0) - 0.7) + (x(1) - 0.3) * (x(1) - 0.3)
-    var xs = Lhs.sample(3, 2, rng).toVector
-    var ys = xs.map(f).toVector
+    // the shared step models log seconds, so exp(f) puts f on its scale
+    def observe(x: Array[Double]) = EiMcmc.Observation(x, math.exp(f(x)), Some(x))
+    var obs = Lhs.sample(3, 2, rng).map(observe).toVector
     for (_ <- 0 until 15) {
-      val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 6)
-      val pool = EiMcmc.candidatePool(rng, 2, 256, Some(xs(ys.indexOf(ys.min))), 64)
-      val cand = pool(model.maxEi(pool, ys.min)._1)
-      xs :+= cand; ys :+= f(cand)
+      val (cand, _) = EiMcmc.propose(obs, rng, nSamples = 3, nBurn = 6, thin = 3, dim = 2,
+        nRandom = 256, nLocal = 64, sigmas = Seq(0.08), input = identity)
+      obs :+= observe(cand)
     }
+    val ys = obs.map(o => f(o.x))
     assert(ys.min < 0.02, s"BO best ${ys.min}") // random search would rarely get here in 18 evals
   }
 }

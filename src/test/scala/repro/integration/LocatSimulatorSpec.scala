@@ -26,9 +26,9 @@ class LocatSimulatorSpec extends AnyFunSuite {
     val sim = new SparkClusterSimulator(Workloads.tpcds, ClusterProfile.arm, seed = 2)
     val session = new LocatSession(sim, space, seed = 2, minIter = 5, maxIter = 10)
     session.tuneInitial(100.0)
-    val kept = session.qcsa.rqa.size
+    val kept = session.qcsa.sensitive.size
     assert(kept < 52, s"kept $kept of 104") // at least half removed
-    assert(session.qcsa.rqa.contains("Q72"))
+    assert(session.qcsa.sensitive.contains("Q72"))
   }
 
   test("LOCAT's IICP on TPC-DS keeps spark.sql.shuffle.partitions in most sessions") {

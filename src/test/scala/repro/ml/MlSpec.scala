@@ -237,7 +237,6 @@ class MlSpec extends AnyFunSuite {
   }
 
   test("GA elitism never loses the best individual") {
-    val rng = new Random(11)
     def f(u: Array[Double]) = math.abs(u(0) - 0.25)
     val short = Ga.minimize(f, 1, new Random(11), popSize = 10, generations = 5)
     val long = Ga.minimize(f, 1, new Random(11), popSize = 10, generations = 50)

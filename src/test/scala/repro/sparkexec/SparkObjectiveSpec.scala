@@ -78,6 +78,6 @@ class SparkObjectiveSpec extends SparkSpec {
     val weird = ConfigValues(Map("spark.sql.shuffle.partitions" -> 8.0, "zz.unknown" -> 1.0))
     objective.applyConf(weird) // must not throw: unknown key simply isn't in `settable`
     assert(spark.conf.get("spark.sql.shuffle.partitions") == "8")
-    spark.conf.set("spark.sql.shuffle.partitions", "64")
+    spark.conf.set("spark.sql.shuffle.partitions", SparkSpec.ShufflePartitions.toLong)
   }
 }
