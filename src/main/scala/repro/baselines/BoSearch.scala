@@ -3,6 +3,7 @@ package repro.baselines
 import repro.core.{ConfigSpace, ConfigValues, TrialLog, TuningObjective, TuningResult}
 import repro.gp.EiMcmc
 import repro.gp.EiMcmc.Observation
+import repro.stats.Rng
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -57,7 +58,7 @@ object BoSearch {
 final class RandomSearch(budget: Int) extends repro.core.Tuner {
   override def name: String = s"Random($budget)"
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
-    val rng = new Random(seed)
+    val rng = Rng(seed)
     val log = new TrialLog(objective)
     (0 until budget).foreach(_ => log.run(space.random(rng), ds))
     log.result(log.best)

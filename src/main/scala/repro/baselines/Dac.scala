@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core._
 import repro.ml.{Ga, Gbrt}
-import scala.util.Random
+import repro.stats.Rng
 
 /** DAC (Yu, Bei, Qian — ASPLOS 2018) — datasize-aware high-dimensional
   * configuration auto-tuning via hierarchical performance models + search.
@@ -22,7 +22,7 @@ final class Dac(
   override def name: String = "DAC"
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
-    val rng = new Random(seed)
+    val rng = Rng(seed)
     val log = new TrialLog(objective)
 
     // model-building samples (datasize recorded as a feature, per DAC)
@@ -34,7 +34,7 @@ final class Dac(
     // GA over the model; several restarts give distinct candidates
     val candidates = (0 until gaCandidates).map { k =>
       Ga.minimize(u => model.predict(u :+ ds / 1000.0), space.dim,
-        new Random(seed * 31 + k), popSize = 40, generations = 50).best
+        Rng(seed * 31 + k), popSize = 40, generations = 50).best
     }
     // validate model-optima on the "cluster"; DAC's recommendation is the
     // best of the GA candidates (the model's output), per its protocol

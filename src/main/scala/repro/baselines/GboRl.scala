@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core._
-import scala.util.Random
+import repro.stats.Rng
 
 /** GBO-RL (Kunjir & Babu — SIGMOD 2020, "Black or White?") — Guided Bayesian
   * Optimization with an analytical memory model.
@@ -43,7 +43,7 @@ final class GboRl(
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val log = new TrialLog(objective)
-    BoSearch.run(log, space, ds, new Random(seed), nInit = nInit, nIter = boIters, candidateFilter = memoryFeasible)
+    BoSearch.run(log, space, ds, Rng(seed), nInit = nInit, nIter = boIters, candidateFilter = memoryFeasible)
     log.result(log.best)
   }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core._
-import scala.util.Random
+import repro.stats.Rng
 
 /** Objective wrapper that restricts execution to an RQA subset — the
   * machinery for grafting QCSA onto the SOTA tuners (paper §5.10, Fig 21).
@@ -35,7 +35,7 @@ final class QcsaIicpGraft(
   }
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
-    val rng = new Random(seed * 17 + 5)
+    val rng = Rng(seed * 17 + 5)
     val log = new TrialLog(objective)
 
     val nSampling = if (useQcsa) nQcsa else if (useIicp) nIicp else 0

@@ -3,7 +3,7 @@ package repro.baselines
 import repro.core._
 import repro.gp.EiMcmc
 import repro.ml.Gbrt
-import scala.util.Random
+import repro.stats.Rng
 
 /** QTune (Li et al. — VLDB 2019) — reinforcement-learning configuration tuner.
   *
@@ -24,7 +24,7 @@ final class QTuneRl(
   override def name: String = "QTune"
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
-    val rng = new Random(seed)
+    val rng = Rng(seed)
     val log = new TrialLog(objective)
     var critic: Option[Gbrt] = None
 

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core._
 import repro.ml.Gbrt
-import scala.util.Random
+import repro.stats.Rng
 
 /** Tuneful (Fekry et al. 2020) — significance-aware GP-BO.
   *
@@ -26,7 +26,7 @@ final class Tuneful(
   override def name: String = "Tuneful"
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
-    val rng = new Random(seed)
+    val rng = Rng(seed)
     val log = new TrialLog(objective)
 
     // Phase 1: significance analysis samples

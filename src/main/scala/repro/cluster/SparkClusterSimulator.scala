@@ -1,7 +1,7 @@
 package repro.cluster
 
 import repro.core.{ConfigValues, ExecResult, TuningObjective}
-import scala.util.Random
+import repro.stats.Rng
 
 /** Analytic Spark-SQL execution-time model — the paper-scale substitute for
   * the authors' two physical clusters (see DESIGN.md §2).
@@ -39,7 +39,7 @@ final class SparkClusterSimulator(
 
   override def run(conf: ConfigValues, datasizeGB: Double, subset: Option[Seq[String]] = None): ExecResult = {
     calls += 1
-    val rng = new Random(seed * 1000003L + calls * 7919L)
+    val rng = Rng(seed * 1000003L + calls * 7919L)
     val ids = subset.getOrElse(workload.queryIds)
     // Noise has a run-wide common component (cluster state: co-tenancy,
     // page cache, JIT, GC phase) that does NOT average out across queries —

@@ -2,8 +2,8 @@ package repro.core
 
 import repro.gp.EiMcmc
 import repro.gp.EiMcmc.Observation
+import repro.stats.Rng
 import scala.collection.mutable.ArrayBuffer
-import scala.util.Random
 
 /** The LOCAT tuner (paper §3, Fig 3).
   *
@@ -38,7 +38,7 @@ final class LocatSession(
 ) {
   require(nIicp <= nQcsa, "IICP samples are a prefix of the QCSA samples")
 
-  private val rng = new Random(seed)
+  private val rng = Rng(seed)
   private val log = new TrialLog(objective)
   // DAGP training set of the RQA phase: each trial with its observation
   // (RQA seconds; for BO picks, the subspace unit it was chosen at)

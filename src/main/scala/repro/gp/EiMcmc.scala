@@ -1,5 +1,6 @@
 package repro.gp
 
+import java.util.stream.IntStream
 import repro.stats.Stats
 import scala.util.Random
 
@@ -27,7 +28,7 @@ object EiMcmc {
       val m = xs.length
       val mu = new Array[Double](m)
       val second = new Array[Double](m)
-      gps.map(_.predictBatch(xs)).foreach { case (gm, gs) =>
+      drawMoments(xs).foreach { case (gm, gs) =>
         var c = 0
         while (c < m) { mu(c) += gm(c); second(c) += gs(c) * gs(c) + gm(c) * gm(c); c += 1 }
       }
@@ -44,10 +45,10 @@ object EiMcmc {
     /** Expected improvement (minimization) averaged over hyper samples. */
     def ei(x: Array[Double], best: Double): Double = eiBatch(Array(x), best)(0)
 
-    /** [[ei]] at every point of `xs`, scored with one batched prediction per draw. */
+    /** [[ei]] at every point of `xs`, averaged over the draws' [[drawMoments]]. */
     def eiBatch(xs: Array[Array[Double]], best: Double): Array[Double] = {
       val tot = new Array[Double](xs.length)
-      gps.map(_.predictBatch(xs)).foreach { case (mu, sd) =>
+      drawMoments(xs).foreach { case (mu, sd) =>
         var c = 0
         while (c < xs.length) {
           val imp = best - mu(c)
@@ -69,7 +70,42 @@ object EiMcmc {
       while (c < e.length) { if (e(c) > bestEi) { bestEi = e(c); bestI = c }; c += 1 }
       (bestI, bestEi)
     }
+
+    /** Each draw's predictive (means, sds) at every point of `xs`, in draw
+      * order. A fitted GP that MH repeated (it rejected every move between
+      * two draws) is scored once, and one task per (distinct GP, block of
+      * `GaussianProcess.Block` candidates) runs through [[fanOut]]. Every
+      * candidate's prediction keeps its own operation order, so the result
+      * does not depend on the split or the thread count.
+      */
+    private def drawMoments(xs: Array[Array[Double]]): Seq[(Array[Double], Array[Double])] = {
+      val m = xs.length
+      val distinct = gps.foldLeft(Vector.empty[GaussianProcess])((d, g) => if (d.exists(_ eq g)) d else d :+ g)
+      val blocks = (m + Block - 1) / Block
+      val moments = distinct.map(_ => (new Array[Double](m), new Array[Double](m)))
+      fanOut(m, distinct.size * blocks) { task =>
+        val from = task % blocks * Block
+        val until = math.min(m, from + Block)
+        val (bm, bs) = distinct(task / blocks).predictBatch(if (blocks == 1) xs else xs.slice(from, until))
+        val (mu, sd) = moments(task / blocks)
+        System.arraycopy(bm, 0, mu, from, until - from)
+        System.arraycopy(bs, 0, sd, from, until - from)
+      }
+      gps.map(g => moments(distinct.indexWhere(_ eq g)))
+    }
   }
+
+  private val Block = GaussianProcess.Block
+
+  /** Run `task(0 until tasks)` for a pool of `m` candidates: on the calling
+    * thread when the pool fits one block (m ≤ `Block`), otherwise as a
+    * parallel stream on the common ForkJoinPool (or the ForkJoinPool the
+    * caller runs in), the caller joining in. Tasks must write disjoint
+    * outputs.
+    */
+  private def fanOut(m: Int, tasks: Int)(task: Int => Unit): Unit =
+    if (m <= Block) (0 until tasks).foreach(task)
+    else IntStream.range(0, tasks).parallel().forEach(t => task(t))
 
   /** Standard deviation of the MH random-walk proposal in log-hyper space. */
   private val ProposalSd = 0.25
@@ -141,6 +177,10 @@ object EiMcmc {
     * score the rest at their GP inputs `input(u)`. Returns the highest-EI
     * unit and its EI, or a uniform unit and −∞ when nothing scores (every
     * candidate rejected, or every EI NaN).
+    *
+    * `accept` and `input` may run concurrently, on several candidates at once
+    * and on other threads than the caller's, so both must be pure. The MH
+    * fit and every random draw stay on the calling thread.
     */
   def propose(obs: Seq[Observation], rng: Random, nSamples: Int, nBurn: Int, thin: Int,
               dim: Int, nRandom: Int, nLocal: Int, sigmas: Seq[Double],
@@ -150,9 +190,13 @@ object EiMcmc {
     val model = fitLogSeconds(window, rng, nSamples, nBurn, thin)
     val ys = window.map(o => math.log(o.seconds))
     val best = ys.min
-    val pool = candidatePool(rng, dim, nRandom, window(ys.indexOf(best)).unit, nLocal, sigmas).filter(accept)
-    val (i, ei) = model.maxEi(pool.map(input), best)
-    if (ei > Double.NegativeInfinity) (pool(i), ei) else (Array.fill(dim)(rng.nextDouble()), ei)
+    val pool = candidatePool(rng, dim, nRandom, window(ys.indexOf(best)).unit, nLocal, sigmas)
+    // input(u) of each accepted candidate, null for a rejected one
+    val inputs = new Array[Array[Double]](pool.length)
+    fanOut(pool.length, pool.length)(c => if (accept(pool(c))) inputs(c) = input(pool(c)))
+    val kept = pool.indices.filter(inputs(_) != null)
+    val (i, ei) = model.maxEi(kept.map(inputs(_)).toArray, best)
+    if (ei > Double.NegativeInfinity) (pool(kept(i)), ei) else (Array.fill(dim)(rng.nextDouble()), ei)
   }
 
   /** The candidate pool every BO step scores: `nRandom` uniform points in

@@ -23,12 +23,6 @@ final class GaussianProcess private (
   private val n = x.length
   private val d = x(0).length
 
-  /** Predictive mean and standard deviation at `xs`, on the raw target scale. */
-  def predict(xs: Array[Double]): (Double, Double) = {
-    val (mu, sd) = predictBatch(Array(xs))
-    (mu(0), sd(0))
-  }
-
   /** Predictive means and standard deviations at every point of `xs`, on the
     * raw target scale (GPML Alg. 2.1). Candidates are scored in blocks of up
     * to 64, candidate-major: k*, k*ᵀα and the forward substitution L·v = k*
@@ -193,7 +187,8 @@ object GaussianProcess {
     result
   }
 
-  private val Block = 64
+  /** Candidates per scoring block of [[GaussianProcess.predictBatch]]. */
+  private[gp] val Block = 64
 
   /** Sensible default log-hypers: unit signal, lengthscale 0.3 (inputs are in
     * [0,1]), noise 0.1 — the MCMC marginalization starts from here.

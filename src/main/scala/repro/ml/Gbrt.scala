@@ -1,16 +1,12 @@
 package repro.ml
 
-import scala.collection.immutable.ArraySeq
-
 /** Gradient-Boosted Regression Trees (squared loss).
   *
   * Used by the DAC baseline's performance model and by the Fig 16/17
   * model-accuracy and importance comparisons. Boosting on residuals with a
   * constant learning rate; squared loss means each stage fits plain residuals.
   */
-final class Gbrt private (stages: Array[RegressionTree], val base: Double, val learningRate: Double) {
-  def trees: Seq[RegressionTree] = ArraySeq.unsafeWrapArray(stages)
-
+final class Gbrt private (stages: Array[RegressionTree], base: Double, learningRate: Double) {
   def predict(x: Array[Double]): Double = {
     var s = 0.0
     var m = 0

@@ -1,5 +1,6 @@
 package repro.gp
 
+import java.util.concurrent.ForkJoinPool
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Dagp
 import repro.linalg.{Mat, RowCholesky}
@@ -96,6 +97,20 @@ class GpSpec extends AnyFunSuite {
 
   private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
 
+  /** One point's predictive mean and sd: the one-candidate batch. */
+  private def predict(gp: GaussianProcess, x: Array[Double]): (Double, Double) = {
+    val (mu, sd) = gp.predictBatch(Array(x))
+    (mu(0), sd(0))
+  }
+
+  /** `body` run as a task of a fresh ForkJoinPool of `threads` workers, so
+    * parallel streams inside it run on that pool.
+    */
+  private def onPool[T](threads: Int)(body: => T): T = {
+    val pool = new ForkJoinPool(threads)
+    try pool.submit(() => body).get finally pool.shutdown()
+  }
+
   // --- LHS ------------------------------------------------------------------
 
   test("LHS returns n points of dimension d in [0,1]") {
@@ -179,7 +194,7 @@ class GpSpec extends AnyFunSuite {
         val (mu, sd) = gp.predictBatch(pool)
         pool.indices.foreach { c =>
           val (refMu, refSd) = ref.predict(pool(c))
-          val (oneMu, oneSd) = gp.predict(pool(c))
+          val (oneMu, oneSd) = predict(gp, pool(c))
           assert(bits(mu(c)) == bits(refMu) && bits(sd(c)) == bits(refSd), s"kernel $k d=$d n=$n m=$m candidate $c")
           assert(bits(oneMu) == bits(refMu) && bits(oneSd) == bits(refSd))
         }
@@ -209,7 +224,7 @@ class GpSpec extends AnyFunSuite {
     val h = Array(0.0, math.log(0.3), math.log(1e-3))
     val gp = GaussianProcess.fit(m52, xs, ys, h)
     xs.zip(ys).foreach { case (x, y) =>
-      val (mu, sd) = gp.predict(x)
+      val (mu, sd) = predict(gp, x)
       assert(math.abs(mu - y) < 1e-2, s"x=${x(0)} mu=$mu y=$y")
       assert(sd < 0.1)
     }
@@ -219,8 +234,8 @@ class GpSpec extends AnyFunSuite {
     val xs = Seq(Array(0.4), Array(0.5), Array(0.6))
     val ys = Seq(1.0, 1.2, 0.9)
     val gp = GaussianProcess.fit(m52, xs, ys, Array(0.0, math.log(0.1), math.log(0.01)))
-    val (_, sdNear) = gp.predict(Array(0.5))
-    val (_, sdFar) = gp.predict(Array(0.0))
+    val (_, sdNear) = predict(gp, Array(0.5))
+    val (_, sdFar) = predict(gp, Array(0.0))
     assert(sdFar > sdNear * 2)
   }
 
@@ -231,7 +246,7 @@ class GpSpec extends AnyFunSuite {
     val gp = GaussianProcess.fit(m52, xs, ys, Array(0.0, math.log(0.2), math.log(0.05)))
     val err = (0 until 50).map { i =>
       val x = i / 49.0
-      val (mu, _) = gp.predict(Array(x))
+      val (mu, _) = predict(gp, Array(x))
       math.abs(mu - math.sin(x * 2 * math.Pi))
     }.max
     assert(err < 0.25, s"max err $err")
@@ -241,7 +256,7 @@ class GpSpec extends AnyFunSuite {
     val xs = Seq(Array(0.1), Array(0.5), Array(0.9))
     val gp = GaussianProcess.fit(m52, xs, Seq(5.0, 5.0, 5.0),
       GaussianProcess.defaultLogHypers(m52, 1))
-    val (mu, sd) = gp.predict(Array(0.3))
+    val (mu, sd) = predict(gp, Array(0.3))
     assert(!mu.isNaN && !sd.isNaN)
     assert(math.abs(mu - 5.0) < 0.5)
   }
@@ -267,7 +282,7 @@ class GpSpec extends AnyFunSuite {
     val gp = GaussianProcess.fit(m52, Seq(Array(0.1, 0.2), Array(0.9, 0.3)), Seq(1.0, 2.0), h)
     intercept[IllegalArgumentException] { gp.predictBatch(Array(Array(0.5, 0.5), Array(0.5))) }
     intercept[IllegalArgumentException] { gp.predictBatch(Array(Array(0.5, 0.5, 0.5))) }
-    intercept[IllegalArgumentException] { gp.predict(Array(0.5)) }
+    intercept[IllegalArgumentException] { predict(gp, Array(0.5)) }
   }
 
   test("GP fit validates hyperparameter count") {
@@ -319,6 +334,34 @@ class GpSpec extends AnyFunSuite {
     }
     val (i, e) = model.maxEi(pool, best)
     assert(e == eis.max && i == eis.indexOf(eis.max))
+
+    // Draws that repeat one fitted GP (MH rejected every move between them),
+    // pools on both sides of the 64-candidate block, scored on one worker
+    // and on four: the same bits as the reference, draw by draw
+    val g1 = GaussianProcess.fit(m52, xs, ys, Array(0.1, math.log(0.4), math.log(0.05)))
+    val g2 = GaussianProcess.fit(m52, xs, ys, Array(-0.2, math.log(0.2), math.log(0.1)))
+    val repeated = EiMcmc.Marginalized(Seq(g1, g1, g2, g1))
+    val (ref1, ref2) = (ReferenceGp.of(g1), ReferenceGp.of(g2))
+    for (m <- Seq(1, 63, 64, 65, 416)) {
+      val pool = Array.fill(m)(Array.fill(4)(rng.nextDouble()))
+      val refEi = pool.map(ReferenceGp.ei(repeated.gps, _, best))
+      val refMoments = pool.map { x =>
+        val ms = Seq(ref1, ref1, ref2, ref1).map(_.predict(x))
+        val mu = ms.map(_._1).sum / ms.size
+        val second = ms.map { case (m, s) => s * s + m * m }.sum / ms.size
+        (mu, math.sqrt(math.max(second - mu * mu, 1e-12)))
+      }
+      for (threads <- Seq(1, 4)) {
+        val (eis, (mu, sd), (i, e)) =
+          onPool(threads)((repeated.eiBatch(pool, best), repeated.predictBatch(pool), repeated.maxEi(pool, best)))
+        pool.indices.foreach { c =>
+          assert(bits(eis(c)) == bits(refEi(c)), s"m=$m threads=$threads candidate $c")
+          assert(bits(mu(c)) == bits(refMoments(c)._1) && bits(sd(c)) == bits(refMoments(c)._2),
+            s"m=$m threads=$threads candidate $c")
+        }
+        assert(i == refEi.indexOf(refEi.max) && bits(e) == bits(refEi.max))
+      }
+    }
   }
 
   test("maxEi picks the reference's first maximal candidate in a pool with duplicates") {
@@ -438,6 +481,24 @@ class GpSpec extends AnyFunSuite {
         assert(got._1._2 == Double.NegativeInfinity)
         assert(got._1._1.length == d && got._1._1.forall(v => v >= 0.0 && v < 1.0))
       }
+    }
+
+    // A LOCAT RQA step and a BoSearch step with a rejecting filter, their
+    // pools scored on one worker and on four
+    val rqaWindow = (10 until 90).map(units)
+    val rqaObs = (0 until 90).map(i => EiMcmc.Observation(Dagp.inputVec(kpca(units(i)), ds), seconds(units(i)),
+      Some(units(i))))
+    val boObs = units.map(u => EiMcmc.Observation(u, seconds(u), Some(u)))
+    val accept = (u: Array[Double]) => u(0) + u(1) < 1.0
+    for (threads <- Seq(1, 4)) {
+      val locatWant = run(60)(locatStep(_, rqaWindow.map(u => (kpca(u), ds, seconds(u))), rqaWindow.map(Some(_)), 4, 10,
+        d, kpca, ds, 320, 96, Seq(0.08, 0.025)))
+      val locatGot = onPool(threads)(run(60)(EiMcmc.propose(rqaObs, _, 4, 10, 3, d, 320, 96, Seq(0.08, 0.025),
+        u => Dagp.inputVec(kpca(u), ds))))
+      same(s"LOCAT rqa on $threads workers", locatGot, locatWant)
+      val boWant = run(61)(boStep(_, rqaWindow, rqaWindow.map(u => math.log(seconds(u))), d, accept))
+      val boGot = onPool(threads)(run(61)(EiMcmc.propose(boObs, _, 3, 6, 2, d, 120, 40, Seq(0.08), identity, accept)))
+      same(s"BoSearch filtered on $threads workers", boGot, boWant)
     }
   }
 
