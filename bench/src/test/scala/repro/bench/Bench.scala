@@ -15,7 +15,8 @@ import scala.collection.concurrent.TrieMap
   *   DAC      = 240 model samples + 5 GA-candidate validations  (≈ 245 runs)
   *   GBO-RL   = 5 init + 140 guided-BO iterations               (≈ 145 runs)
   *   QTune    = 320 RL episodes                                 (≈ 320 runs)
-  *   LOCAT    = 30 QCSA/IICP runs + ≤40 RQA-only iterations + 1 verification
+  *   LOCAT    = 30 QCSA/IICP runs + 10–60 RQA-only iterations + 1 verification
+  *              (the EI stop rule may fire from `minIter` = 10; `maxIter` = 60)
   */
 object Bench {
   val Seed = 42L

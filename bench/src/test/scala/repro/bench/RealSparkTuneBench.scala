@@ -1,6 +1,5 @@
 package repro.bench
 
-import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, SynthData}
 import repro.core.Locat
 import repro.sparkexec.{LiteQueries, SparkObjective}
@@ -16,18 +15,8 @@ class RealSparkTuneBench extends SparkSpec {
   private val queries = LiteQueries.tpch.filter(q => Set("Q1", "Q3", "Q5", "Q6", "Q12", "Q13")(q.id)) ++
     Seq(LiteQueries.hibenchAggregation)
 
-  private lazy val tables: Map[String, DataFrame] = {
-    val t = Map(
-      "lineitem" -> SynthData.lineitem(spark, sf),
-      "orders" -> SynthData.orders(spark, sf),
-      "customer" -> SynthData.customer(spark, sf),
-      "uservisits" -> SynthData.uservisits(spark, sf),
-    ).map { case (k, v) => k -> v.cache() }
-    t.values.foreach(_.count())
-    t
-  }
-
   test("real-Spark LOCAT run: tunes spark.sql.* online and does not regress the defaults") {
+    val tables = SynthData.tables(spark, sf, queries.flatMap(_.tables))
     val objective = new SparkObjective(spark, queries, tables, name = "tpch-lite-real")
     val space = SparkObjective.runtimeSpace
 

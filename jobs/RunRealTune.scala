@@ -22,16 +22,7 @@ object RunRealTune {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
-    val tables = Map(
-      "lineitem" -> SynthData.lineitem(spark, sf).cache(),
-      "orders" -> SynthData.orders(spark, sf).cache(),
-      "customer" -> SynthData.customer(spark, sf).cache(),
-      "part" -> SynthData.part(spark, sf).cache(),
-      "rankings" -> SynthData.rankings(spark, sf).cache(),
-      "uservisits" -> SynthData.uservisits(spark, sf).cache(),
-    )
-    tables.values.foreach(_.count()) // materialize caches before timing
-
+    val tables = SynthData.tables(spark, sf, LiteQueries.all.flatMap(_.tables))
     val objective = new SparkObjective(spark, LiteQueries.all, tables)
     // small budgets: each trial really executes 25 queries on this machine
     val result = new Locat(nQcsa = 12, nIicp = 10, minIter = 4, maxIter = 8)

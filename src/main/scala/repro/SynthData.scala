@@ -18,7 +18,7 @@ object SynthData {
 
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
 
-  def lineitem(spark: SparkSession, sf: Double = 0.01): DataFrame = {
+  def lineitem(spark: SparkSession, sf: Double): DataFrame = {
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
     spark.range(n(NLineitemPerSf, sf)).select(
       (rand(0) * nOrders + 1).cast(LongType)           as "l_orderkey",
@@ -37,7 +37,7 @@ object SynthData {
     )
   }
 
-  def orders(spark: SparkSession, sf: Double = 0.01): DataFrame = {
+  def orders(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
     spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
@@ -51,7 +51,7 @@ object SynthData {
     )
   }
 
-  def customer(spark: SparkSession, sf: Double = 0.01): DataFrame = {
+  def customer(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
     spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
       $"c_custkey",
@@ -63,7 +63,7 @@ object SynthData {
     )
   }
 
-  def part(spark: SparkSession, sf: Double = 0.01): DataFrame = {
+  def part(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
     spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
       $"p_partkey",
@@ -81,7 +81,7 @@ object SynthData {
   private val NSourceIps       = 5_000L
 
   /** HiBench `rankings(pageurl, pagerank, avgduration)`. */
-  def rankings(spark: SparkSession, sf: Double = 0.01): DataFrame = {
+  def rankings(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
     spark.range(1, n(NRankingsPerSf, sf) + 1).toDF("rid").select(
       concat(lit("url_"), $"rid".cast(StringType))       as "pageurl",
@@ -94,7 +94,7 @@ object SynthData {
     * desturl references rankings.pageurl; sourceip has a small domain so
     * the Aggregation query's group count stays oracle-friendly.
     */
-  def uservisits(spark: SparkSession, sf: Double = 0.01): DataFrame = {
+  def uservisits(spark: SparkSession, sf: Double): DataFrame = {
     val nUrl = n(NRankingsPerSf, sf)
     spark.range(n(NUserVisitsPerSf, sf)).select(
       concat(lit("ip_"), (rand(7) * NSourceIps + 1).cast(LongType).cast(StringType))    as "sourceip",
@@ -104,4 +104,17 @@ object SynthData {
       round(rand(10) * 100, 2)                                                          as "adrevenue",
     )
   }
+
+  /** The named tables at scale factor `sf`, cached and materialized, so that
+    * a timed query reads them from memory.
+    */
+  def tables(spark: SparkSession, sf: Double, names: Seq[String]): Map[String, DataFrame] = {
+    val t = names.distinct.map(name => name -> generators(name)(spark, sf).cache()).toMap
+    t.values.foreach(_.count())
+    t
+  }
+
+  private val generators: Map[String, (SparkSession, Double) => DataFrame] = Map(
+    "lineitem" -> lineitem _, "orders" -> orders _, "customer" -> customer _, "part" -> part _,
+    "rankings" -> rankings _, "uservisits" -> uservisits _)
 }

@@ -1,9 +1,8 @@
 package repro.baselines
 
-import repro.core.{ConfigSpace, ConfigValues, TrialLog, TuningObjective, TuningResult}
+import repro.core.{ConfigSpace, ConfigValues, TrialLog}
 import repro.gp.EiMcmc
 import repro.gp.EiMcmc.Observation
-import repro.stats.Rng
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -51,16 +50,5 @@ object BoSearch {
         nRandom = 120, nLocal = 40, sigmas = Seq(0.08), input = identity,
         accept = u => candidateFilter(space.decode(u)))._1)
     }
-  }
-}
-
-/** Pure random search — a sanity baseline for tests, not a paper comparator. */
-final class RandomSearch(budget: Int) extends repro.core.Tuner {
-  override def name: String = s"Random($budget)"
-  override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
-    val rng = Rng(seed)
-    val log = new TrialLog(objective)
-    (0 until budget).foreach(_ => log.run(space.random(rng), ds))
-    log.result(log.best)
   }
 }

@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.cluster.ClusterProfile
 import repro.core._
 import repro.stats.Rng
 
@@ -11,14 +12,10 @@ import repro.stats.Rng
   * only spends samples on memory-feasible candidates. Everything else is
   * plain full-application GP-BO over all parameters — no query reduction, no
   * dimensionality reduction, no datasize awareness.
+  *
+  * @param cluster the cluster whose memory and cores the model packs into
   */
-final class GboRl(
-    nInit: Int = 5,
-    boIters: Int = 140,
-    clusterMemGB: Double = 1536.0,
-    clusterCores: Int = 384,
-    workerNodes: Int = 3,
-) extends Tuner {
+final class GboRl(cluster: ClusterProfile, nInit: Int = 5, boIters: Int = 140) extends Tuner {
   override def name: String = "GBO-RL"
 
   /** Analytical memory-feasibility model (the "white box"). Spaces without
@@ -32,10 +29,8 @@ final class GboRl(
     val perExec = execMem + math.max(overheadGB, 0.375) + offHeapGB
     val instances = math.round(conf("spark.executor.instances"))
     val cores = math.max(1L, math.round(conf("spark.executor.cores")))
-    val memPerNode = clusterMemGB / workerNodes
-    val coresPerNode = clusterCores.toDouble / workerNodes
-    val fitsNode = perExec <= memPerNode && cores <= coresPerNode
-    val fitsCluster = instances * perExec <= clusterMemGB * 1.05 && instances * cores <= clusterCores * 1.05
+    val fitsNode = perExec <= cluster.memGBPerNode && cores <= cluster.coresPerNode
+    val fitsCluster = instances * perExec <= cluster.totalMemGB * 1.05 && instances * cores <= cluster.totalCores * 1.05
     // starved execution memory is also rejected by the model
     val execShare = execMem * conf("spark.memory.fraction") / cores
     fitsNode && fitsCluster && execShare >= 0.5
@@ -49,8 +44,6 @@ final class GboRl(
 }
 
 object GboRl {
-  /** Instantiate with the memory limits of a simulated cluster profile. */
-  def forCluster(c: repro.cluster.ClusterProfile, boIters: Int = 140): GboRl =
-    new GboRl(boIters = boIters, clusterMemGB = c.totalMemGB.toDouble,
-      clusterCores = c.totalCores, workerNodes = c.workerNodes)
+  /** Instantiate for a simulated cluster profile. */
+  def forCluster(c: ClusterProfile, boIters: Int = 140): GboRl = new GboRl(c, boIters = boIters)
 }

@@ -6,7 +6,7 @@ import repro.stats.Rng
 /** Objective wrapper that restricts execution to an RQA subset — the
   * machinery for grafting QCSA onto the SOTA tuners (paper §5.10, Fig 21).
   */
-final class SubsetObjective(inner: TuningObjective, rqa: Seq[String]) extends TuningObjective {
+private[baselines] final class SubsetObjective(inner: TuningObjective, rqa: Seq[String]) extends TuningObjective {
   override def workloadName: String = inner.workloadName
   override def queries: Seq[String] = rqa
   override def run(conf: ConfigValues, ds: Double, subset: Option[Seq[String]]): ExecResult =
@@ -53,7 +53,7 @@ final class QcsaIicpGraft(
       } else space
 
     val inner = base.tune(new SubsetObjective(objective, rqa), searchSpace, ds, seed)
-    inner.trials.foreach(t => log.add(t.copy(fullApp = !useQcsa)))
+    inner.trials.foreach(log.add)
 
     // verify the best configuration on the full application
     log.result(log.run(inner.bestConf, ds))

@@ -16,15 +16,10 @@ object Iicp {
 
   val SccThreshold = 0.2
 
-  /** The fitted IICP pipeline: CPS-kept parameter names (with their SCCs) and
-    * the KPCA feature extractor over the kept-parameter unit subspace.
+  /** The fitted IICP pipeline: CPS-kept parameter names and the KPCA feature
+    * extractor over the kept-parameter unit subspace.
     */
-  final case class Model(
-      keptParams: Seq[String],
-      sccByParam: Map[String, Double],
-      subspace: ConfigSpace,
-      kpca: Kpca,
-  ) {
+  final case class Model(keptParams: Seq[String], subspace: ConfigSpace, kpca: Kpca) {
     /** Map a full configuration to the extracted feature vector. */
     def features(conf: ConfigValues): Array[Double] =
       kpca.transform(subspace.encode(conf))
@@ -64,8 +59,7 @@ object Iicp {
     */
   def fit(space: ConfigSpace, samples: Seq[(ConfigValues, Double)],
           kernel: Option[KpcaKernel] = None): Model = {
-    val ranked = cps(space, samples)
-    val keptNames = ranked.map(_._1)
+    val keptNames = cps(space, samples).map(_._1)
     val sub = space.subspace(keptNames, space.defaults)
     val xs = samples.map { case (c, _) => sub.encode(c) }
     val k = kernel.getOrElse(KpcaKernel.Gaussian(math.max(KpcaKernel.medianSigma(xs), 1e-6)))
@@ -73,6 +67,6 @@ object Iicp {
     // fewer if they already cover 90% of the spectrum.
     val maxComponents = math.max(3, math.ceil(keptNames.size / 3.0).toInt)
     val kpca = Kpca.fit(xs, k, 0.9, maxComponents)
-    Model(keptNames, ranked.toMap, sub, kpca)
+    Model(keptNames, sub, kpca)
   }
 }

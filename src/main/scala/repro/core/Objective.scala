@@ -28,11 +28,13 @@ trait TuningObjective {
   def workloadName: String
 }
 
-/** One observed execution during tuning. `costSeconds` is the wall time the
-  * tuner *paid* for this observation (the RQA costs less than the full app).
+/** One observed execution during tuning. Its scope is the queries that ran,
+  * `result.perQuerySeconds.keySet` (the RQA is a subset of the full app).
   */
-final case class Trial(conf: ConfigValues, datasizeGB: Double, result: ExecResult,
-                       costSeconds: Double, fullApp: Boolean)
+final case class Trial(conf: ConfigValues, datasizeGB: Double, result: ExecResult) {
+  /** The wall time the tuner paid for this observation. */
+  def costSeconds: Double = result.totalSeconds
+}
 
 /** Outcome of a tuning session.
   *
@@ -60,8 +62,7 @@ final class TrialLog(objective: TuningObjective) {
 
   /** Execute once and record it; the cost is the run's wall time. */
   def run(conf: ConfigValues, ds: Double, subset: Option[Seq[String]] = None): Trial = {
-    val res = objective.run(conf, ds, subset)
-    val t = Trial(conf, ds, res, res.totalSeconds, fullApp = subset.isEmpty)
+    val t = Trial(conf, ds, objective.run(conf, ds, subset))
     add(t)
     t
   }

@@ -35,6 +35,24 @@ object Mat {
     new Mat(rows.length, c, rows.flatten.toArray)
   }
 
+  /** Squared Euclidean distance Σ (x(t) − y(t))², summed over t ascending
+    * from 0.0.
+    */
+  def sqDist(x: Array[Double], y: Array[Double]): Double = {
+    var s = 0.0; var t = 0
+    while (t < x.length) { val d = x(t) - y(t); s += d * d; t += 1 }
+    s
+  }
+
+  /** The symmetric matrix K(i, j) = k(xs(i), xs(j)): each entry of the upper
+    * triangle (j ≥ i) is computed once and mirrored below the diagonal.
+    */
+  def symmetric(xs: Array[Array[Double]])(k: (Array[Double], Array[Double]) => Double): Mat = {
+    val m = zeros(xs.length, xs.length)
+    for (i <- xs.indices; j <- i until xs.length) { val v = k(xs(i), xs(j)); m(i, j) = v; m(j, i) = v }
+    m
+  }
+
   /** Cholesky factorization A = L·Lᵀ of a symmetric positive-definite matrix.
     *
     * Returns the lower-triangular L. Throws IllegalArgumentException when A is

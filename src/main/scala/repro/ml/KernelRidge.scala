@@ -9,33 +9,23 @@ import repro.linalg.Mat
   * form, which preserves the model-accuracy comparison the figure makes.
   */
 final class KernelRidge private (train: Array[Array[Double]], dual: Array[Double], gamma: Double, yMean: Double) {
-  private def k(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    math.exp(-gamma * s)
-  }
-
   def predict(x: Array[Double]): Double = {
     var s = yMean; var i = 0
-    while (i < train.length) { s += dual(i) * k(x, train(i)); i += 1 }
+    while (i < train.length) { s += dual(i) * KernelRidge.rbf(gamma)(x, train(i)); i += 1 }
     s
   }
 }
 
 object KernelRidge {
+  private def rbf(gamma: Double)(a: Array[Double], b: Array[Double]): Double = math.exp(-gamma * Mat.sqDist(a, b))
+
   def fit(x: Seq[Array[Double]], y: Seq[Double], gamma: Double = 1.0, lambda: Double = 1e-2): KernelRidge = {
     require(x.nonEmpty && x.size == y.size, "kernel ridge needs equal non-empty x/y")
     val n = x.size
     val xa = x.toArray
     val yMean = y.sum / n
     val yc = y.map(_ - yMean).toArray
-    val km = Mat.zeros(n, n)
-    for (i <- 0 until n; j <- i until n) {
-      var s = 0.0; var t = 0
-      while (t < xa(i).length) { val d = xa(i)(t) - xa(j)(t); s += d * d; t += 1 }
-      val v = math.exp(-gamma * s)
-      km(i, j) = v; km(j, i) = v
-    }
+    val km = Mat.symmetric(xa)(rbf(gamma))
     var i = 0
     while (i < n) { km(i, i) += lambda; i += 1 }
     val l = Mat.cholesky(km)
@@ -46,11 +36,7 @@ object KernelRidge {
 /** k-nearest-neighbour regression — the "KNNAR" comparator in Fig 16. */
 final class KnnRegression private (x: Array[Array[Double]], y: Array[Double], k: Int) {
   def predict(q: Array[Double]): Double = {
-    val dists = x.indices.map { i =>
-      var s = 0.0; var t = 0
-      while (t < q.length) { val d = q(t) - x(i)(t); s += d * d; t += 1 }
-      (s, y(i))
-    }
+    val dists = x.indices.map(i => (Mat.sqDist(q, x(i)), y(i)))
     val nearest = dists.sortBy(_._1).take(k)
     nearest.map(_._2).sum / nearest.size
   }

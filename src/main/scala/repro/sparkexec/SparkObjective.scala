@@ -30,16 +30,16 @@ final class SparkObjective(
   override def workloadName: String = name
   override def queries: Seq[String] = queriesToRun.map(_.id)
 
-  /** Set every runtime-settable parameter on the session. Other keys (the
-    * cluster-level parameters, names outside `settable`, and keys this Spark
-    * rejects) are skipped and recorded in `skippedKeys`, so a tuning run
+  /** Set every `runtimeSpace` parameter on the session. Other keys (the
+    * cluster-level parameters, names outside `runtimeSpace`, and keys this
+    * Spark rejects) are skipped and recorded in `skippedKeys`, so a tuning run
     * cannot crash on them and cannot silently "tune" them either.
     */
   def applyConf(conf: ConfigValues): Unit = {
     conf.values.foreach { case (key, v) =>
-      SparkObjective.settable.get(key) match {
-        case Some(render) =>
-          try spark.conf.set(key, render(v))
+      SparkObjective.runtimeParams.get(key) match {
+        case Some(p) =>
+          try spark.conf.set(key, SparkObjective.render(p, v))
           catch { case _: Exception => skipped += key }
         case None => skipped += key
       }
@@ -67,21 +67,6 @@ final class SparkObjective(
 }
 
 object SparkObjective {
-  private def boolS(v: Double): String = if (v >= 0.5) "true" else "false"
-
-  /** Runtime-settable keys and how their Table 2 numeric value renders into a
-    * Spark conf string (autoBroadcastJoinThreshold is in KB in Table 2).
-    */
-  val settable: Map[String, Double => String] = Map(
-    "spark.sql.shuffle.partitions" -> (v => math.max(1, math.round(v)).toString),
-    "spark.sql.autoBroadcastJoinThreshold" -> (v => (math.round(v) * 1024L).toString),
-    "spark.sql.inMemoryColumnarStorage.batchSize" -> (v => math.max(1, math.round(v)).toString),
-    "spark.sql.inMemoryColumnarStorage.compressed" -> boolS _,
-    "spark.sql.codegen.maxFields" -> (v => math.max(1, math.round(v)).toString),
-    "spark.sql.join.preferSortMergeJoin" -> boolS _,
-    "spark.sql.sort.enableRadixSort" -> boolS _,
-  )
-
   /** Small-data tuning space for the live local session (ranges scaled to
     * SF ≤ 0.1 inputs; Table 2's 100–1000 shuffle partitions would be all
     * overhead at megabyte scale).
@@ -95,4 +80,15 @@ object SparkObjective {
     ConfigParam("spark.sql.join.preferSortMergeJoin", 1.0, ParamKind.BoolK, (0, 1), (0, 1)),
     ConfigParam("spark.sql.sort.enableRadixSort", 1.0, ParamKind.BoolK, (0, 1), (0, 1)),
   ), useRangeA = true)
+
+  private val runtimeParams: Map[String, ConfigParam] = runtimeSpace.params.map(p => p.name -> p).toMap
+
+  /** A runtime parameter's Table 2 value as a Spark conf string: booleans as
+    * true/false, integers rounded to at least 1, and autoBroadcastJoinThreshold
+    * from Table 2's KB to bytes.
+    */
+  private def render(p: ConfigParam, v: Double): String =
+    if (p.isBool) (if (v >= 0.5) "true" else "false")
+    else if (p.name == "spark.sql.autoBroadcastJoinThreshold") (math.round(v) * 1024L).toString
+    else math.max(1, math.round(v)).toString
 }

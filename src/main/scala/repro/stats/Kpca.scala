@@ -11,11 +11,7 @@ sealed trait KpcaKernel {
 }
 
 object KpcaKernel {
-  private def sqDist(x: Array[Double], y: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < x.length) { val d = x(i) - y(i); s += d * d; i += 1 }
-    s
-  }
+  import Mat.sqDist
 
   /** RBF kernel exp(-||x-y||² / 2σ²). */
   final case class Gaussian(sigma: Double) extends KpcaKernel {
@@ -99,11 +95,7 @@ object Kpca {
     require(xs.size >= 3, "kpca needs at least 3 samples")
     val n = xs.size
     val train = xs.toArray
-    val k = Mat.zeros(n, n)
-    for (i <- 0 until n; j <- i until n) {
-      val v = kernel(train(i), train(j))
-      k(i, j) = v; k(j, i) = v
-    }
+    val k = Mat.symmetric(train)(kernel.apply)
     // double-center: K' = K − 1ₙK − K1ₙ + 1ₙK1ₙ
     val rowMeans = Array.tabulate(n)(i => (0 until n).map(j => k(i, j)).sum / n)
     val totalMean = rowMeans.sum / n

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cluster.ClusterProfile
 import repro.core.{ConfigSpace, ConfigValues, ExecResult, Locat, TestObjectives, TrialLog, Tuner, TuningObjective,
   TuningResult}
 import scala.collection.mutable.ArrayBuffer
@@ -24,7 +25,7 @@ class BaselinesSpec extends AnyFunSuite {
     val obj = TestObjectives.synthetic(2)
     val r = new Tuneful(saRounds = 2, samplesPerRound = 8, keepParams = 3, boIters = 5).tune(obj, obj.space, 100.0, 2)
     assert(r.trials.size == 16 + 3 + 5) // SA samples + BO init + BO iters
-    assert(r.trials.forall(_.fullApp))  // Tuneful never reduces queries
+    assert(r.trials.forall(_.result.perQuerySeconds.keySet == obj.queries.toSet)) // Tuneful never reduces queries
   }
 
   test("DAC finds a good config and pays its sample-collection cost") {
@@ -35,8 +36,12 @@ class BaselinesSpec extends AnyFunSuite {
     assert(obj.expected(r.bestConf, 100.0).values.sum < 28.0)
   }
 
+  // a cluster no configuration outgrows
+  private val hugeCluster =
+    ClusterProfile.arm.copy(name = "huge", memGBPerNode = 100_000_000, coresPerNode = 100_000_000)
+
   test("GBO-RL memory model accepts feasible and rejects infeasible configs") {
-    val g = new GboRl(clusterMemGB = 1536, clusterCores = 384, workerNodes = 3)
+    val g = new GboRl(ClusterProfile.arm)
     val space = repro.core.ConfigSpace.full(arm = true)
     val ok = space.defaults
       .updated("spark.executor.memory", 16).updated("spark.executor.instances", 48)
@@ -51,9 +56,43 @@ class BaselinesSpec extends AnyFunSuite {
     assert(!g.memoryFeasible(starved))
   }
 
+  /** The memory model as it read a cluster's capacity from three numbers
+    * (total memory, total cores, worker count) before it took the profile.
+    */
+  private def threeNumberFeasible(clusterMemGB: Double, clusterCores: Int, workerNodes: Int)(conf: ConfigValues): Boolean = {
+    val execMem = conf("spark.executor.memory")
+    val overheadGB = conf("spark.executor.memoryOverhead") / 1024.0
+    val offHeapGB = if (conf.bool("spark.memory.offHeap.enabled")) conf("spark.memory.offHeap.size") / 1024.0 else 0.0
+    val perExec = execMem + math.max(overheadGB, 0.375) + offHeapGB
+    val instances = math.round(conf("spark.executor.instances"))
+    val cores = math.max(1L, math.round(conf("spark.executor.cores")))
+    val memPerNode = clusterMemGB / workerNodes
+    val coresPerNode = clusterCores.toDouble / workerNodes
+    val fitsNode = perExec <= memPerNode && cores <= coresPerNode
+    val fitsCluster = instances * perExec <= clusterMemGB * 1.05 && instances * cores <= clusterCores * 1.05
+    val execShare = execMem * conf("spark.memory.fraction") / cores
+    fitsNode && fitsCluster && execShare >= 0.5
+  }
+
+  test("GBO-RL memory model gives the three-number model's verdicts on 2000 configurations per cluster") {
+    // On the two paper clusters the per-node limits never bind inside Table 2's
+    // ranges, so a cluster of many small nodes checks the per-node reading too.
+    val smallNodes = ClusterProfile.x86.copy(name = "small-nodes", workerNodes = 40, coresPerNode = 8, memGBPerNode = 24)
+    Seq(ClusterProfile.arm, ClusterProfile.x86, smallNodes).foreach { c =>
+      val space = ConfigSpace.full(c.armRanges)
+      val rng = new Random(c.workerNodes.toLong)
+      val confs = Seq.fill(2000)(space.random(rng))
+      val g = new GboRl(c)
+      val reference = threeNumberFeasible(c.totalMemGB.toDouble, c.totalCores, c.workerNodes) _
+      val verdicts = confs.map(g.memoryFeasible)
+      assert(verdicts == confs.map(reference), c.name)
+      assert(verdicts.contains(true) && verdicts.contains(false), c.name)
+    }
+  }
+
   test("GBO-RL tunes the synthetic objective") {
     val obj = TestObjectives.synthetic(4)
-    val g = new GboRl(nInit = 3, boIters = 20, clusterMemGB = 1e9, clusterCores = Int.MaxValue / 2, workerNodes = 3)
+    val g = new GboRl(hugeCluster, nInit = 3, boIters = 20)
     val r = g.tune(obj, obj.space, 100.0, 4)
     assert(obj.expected(r.bestConf, 100.0).values.sum < 27.0)
     assert(r.trials.size == 23)
@@ -85,7 +124,7 @@ class BaselinesSpec extends AnyFunSuite {
       new Locat(nQcsa = 12, nIicp = 10, minIter = 3, maxIter = 5, useIicp = false),
       smallTuneful,
       new Dac(nSamples = 20, gaCandidates = 2, nTrees = 30),
-      new GboRl(nInit = 3, boIters = 4, clusterMemGB = 1e9, clusterCores = Int.MaxValue / 2, workerNodes = 3),
+      new GboRl(hugeCluster, nInit = 3, boIters = 4),
       smallQTune,
       new RandomSearch(10),
       new QcsaIicpGraft(smallTuneful, useQcsa = true, useIicp = false, nQcsa = 12, nIicp = 10),
@@ -101,7 +140,6 @@ class BaselinesSpec extends AnyFunSuite {
           val (lo, hi) = obj.space.range(p)
           assert(tr.conf(p.name) >= lo && tr.conf(p.name) <= hi, s"${t.name}: ${p.name}")
         }
-        assert(tr.fullApp == (tr.result.perQuerySeconds.keySet == obj.queries.toSet), t.name)
       }
       assert(tuneOnce()._2 == r, s"${t.name} is not deterministic per seed")
     }

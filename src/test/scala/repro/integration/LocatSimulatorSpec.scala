@@ -48,8 +48,9 @@ class LocatSimulatorSpec extends AnyFunSuite {
     val sim = new SparkClusterSimulator(Workloads.tpcds, ClusterProfile.arm, seed = 4)
     val session = new LocatSession(sim, space, seed = 4, minIter = 5, maxIter = 10)
     val r = session.tuneInitial(100.0)
-    val fullAvg = r.trials.filter(_.fullApp).map(_.costSeconds).sum / r.trials.count(_.fullApp)
-    val rqaAvg = r.trials.filterNot(_.fullApp).map(_.costSeconds).sum / math.max(1, r.trials.count(!_.fullApp))
+    val (full, rqa) = r.trials.partition(_.result.perQuerySeconds.keySet == sim.queries.toSet)
+    val fullAvg = full.map(_.costSeconds).sum / full.size
+    val rqaAvg = rqa.map(_.costSeconds).sum / math.max(1, rqa.size)
     assert(rqaAvg < fullAvg * 0.6, s"rqa=$rqaAvg full=$fullAvg")
   }
 

@@ -3,6 +3,7 @@ package repro.ml
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
 import repro.core.ConfigSpace
+import repro.linalg.Mat
 import repro.stats.Stats
 import scala.util.Random
 
@@ -220,6 +221,69 @@ class MlSpec extends AnyFunSuite {
     val xs = Seq(Array(0.0), Array(0.1), Array(5.0))
     val m = KnnRegression.fit(xs, Seq(2.0, 4.0, 100.0), k = 2)
     assert(m.predict(Array(0.05)) == 3.0)
+  }
+
+  /** Kernel ridge with its own distance and Gram loops, as its predictor. */
+  private def refKernelRidge(x: Seq[Array[Double]], y: Seq[Double], gamma: Double,
+                             lambda: Double): Array[Double] => Double = {
+    def k(a: Array[Double], b: Array[Double]): Double = {
+      var s = 0.0; var i = 0
+      while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
+      math.exp(-gamma * s)
+    }
+    val n = x.size
+    val xa = x.toArray
+    val yMean = y.sum / n
+    val km = Mat.zeros(n, n)
+    for (i <- 0 until n; j <- i until n) {
+      var s = 0.0; var t = 0
+      while (t < xa(i).length) { val d = xa(i)(t) - xa(j)(t); s += d * d; t += 1 }
+      val v = math.exp(-gamma * s)
+      km(i, j) = v; km(j, i) = v
+    }
+    (0 until n).foreach(i => km(i, i) += lambda)
+    val dual = Mat.choleskySolve(Mat.cholesky(km), y.map(_ - yMean).toArray)
+    q => {
+      var s = yMean; var i = 0
+      while (i < n) { s += dual(i) * k(q, xa(i)); i += 1 }
+      s
+    }
+  }
+
+  /** k-NN with its own distance loop. */
+  private def refKnn(x: Seq[Array[Double]], y: Seq[Double], k: Int)(q: Array[Double]): Double = {
+    val dists = x.indices.map { i =>
+      var s = 0.0; var t = 0
+      while (t < q.length) { val d = q(t) - x(i)(t); s += d * d; t += 1 }
+      (s, y(i))
+    }
+    val nearest = dists.sortBy(_._1).take(k)
+    nearest.map(_._2).sum / nearest.size
+  }
+
+  test("kernel ridge and knn on Fig 16-shaped inputs equal their per-module loops, bit for bit") {
+    // Fig 16: 100 training and 50 held-out full-space configurations per workload
+    val space = ConfigSpace.full(arm = true)
+    Seq(Workloads.tpcds, Workloads.hibenchJoin).foreach { w =>
+      val sim = new SparkClusterSimulator(w, ClusterProfile.arm, 16)
+      val rng = new Random(16)
+      val confs = Seq.fill(150)(space.random(rng))
+      val xs = confs.map(space.encode)
+      val ys = confs.map(c => sim.run(c, 300.0).totalSeconds)
+      val (tx, ty) = (xs.take(100), ys.take(100))
+      val kr = KernelRidge.fit(tx, ty.map(math.log), gamma = 0.5, lambda = 1e-2)
+      val krRef = refKernelRidge(tx, ty.map(math.log), 0.5, 1e-2)
+      assert(bits(xs.map(kr.predict)) == bits(xs.map(krRef)), w.name)
+      val knn = KnnRegression.fit(tx, ty, k = 5)
+      assert(bits(xs.map(knn.predict)) == bits(xs.map(refKnn(tx, ty, 5))), w.name)
+    }
+    // Neighbour order rarely hinges on the last bit there, so add a case where it
+    // does: summed ascending, both rows lie at exactly 1.0 and the first wins the
+    // tie; summed from the other end, 4 × 2⁻⁵⁴ survives and the second is nearer.
+    val e = math.pow(2, -27)
+    val tie = Seq(Array(1.0, e, e, e, e), Array(1.0, 0.0, 0.0, 0.0, 0.0))
+    val origin = Array.fill(5)(0.0)
+    assert(KnnRegression.fit(tie, Seq(100.0, 0.0), k = 1).predict(origin) == refKnn(tie, Seq(100.0, 0.0), 1)(origin))
   }
 
   // --- GA --------------------------------------------------------------------------

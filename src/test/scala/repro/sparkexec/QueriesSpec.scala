@@ -14,15 +14,8 @@ class QueriesSpec extends SparkSpec {
   private val sf = 0.003
 
   private lazy val tables: Map[String, DataFrame] = {
-    val t = Map(
-      "lineitem" -> SynthData.lineitem(spark, sf),
-      "orders" -> SynthData.orders(spark, sf),
-      "customer" -> SynthData.customer(spark, sf),
-      "part" -> SynthData.part(spark, sf),
-      "rankings" -> SynthData.rankings(spark, sf),
-      "uservisits" -> SynthData.uservisits(spark, sf),
-    ).map { case (k, v) => k -> v.cache() }
-    t.foreach { case (name, df) => df.createOrReplaceTempView(name); df.count() }
+    val t = SynthData.tables(spark, sf, LiteQueries.all.flatMap(_.tables))
+    t.foreach { case (name, df) => df.createOrReplaceTempView(name) }
     t
   }
 

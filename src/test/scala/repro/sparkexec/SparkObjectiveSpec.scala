@@ -1,6 +1,5 @@
 package repro.sparkexec
 
-import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, SynthData}
 import repro.core.{ConfigSpace, ConfigValues}
 
@@ -11,20 +10,8 @@ class SparkObjectiveSpec extends SparkSpec {
   private val fastQueries = LiteQueries.tpch.filter(q => Set("Q1", "Q6", "Q12")(q.id)) ++
     Seq(LiteQueries.hibenchScan, LiteQueries.hibenchAggregation)
 
-  private lazy val tables: Map[String, DataFrame] = {
-    val t = Map(
-      "lineitem" -> SynthData.lineitem(spark, sf),
-      "orders" -> SynthData.orders(spark, sf),
-      "customer" -> SynthData.customer(spark, sf),
-      "part" -> SynthData.part(spark, sf),
-      "rankings" -> SynthData.rankings(spark, sf),
-      "uservisits" -> SynthData.uservisits(spark, sf),
-    ).map { case (k, v) => k -> v.cache() }
-    t.values.foreach(_.count())
-    t
-  }
-
-  private lazy val objective = new SparkObjective(spark, fastQueries, tables)
+  private lazy val objective =
+    new SparkObjective(spark, fastQueries, SynthData.tables(spark, sf, fastQueries.flatMap(_.tables)))
 
   test("run() times every query of the workload") {
     val res = objective.run(SparkObjective.runtimeSpace.defaults, sf)
@@ -52,6 +39,38 @@ class SparkObjectiveSpec extends SparkSpec {
     spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
   }
 
+  /** How each runtime key's Table 2 value rendered into a conf string when the
+    * objective kept its own key-to-renderer map.
+    */
+  private val keyedRenderers: Map[String, Double => String] = {
+    def boolS(v: Double): String = if (v >= 0.5) "true" else "false"
+    def intS(v: Double): String = math.max(1, math.round(v)).toString
+    Map(
+      "spark.sql.shuffle.partitions" -> intS,
+      "spark.sql.autoBroadcastJoinThreshold" -> (v => (math.round(v) * 1024L).toString),
+      "spark.sql.inMemoryColumnarStorage.batchSize" -> intS,
+      "spark.sql.inMemoryColumnarStorage.compressed" -> boolS,
+      "spark.sql.codegen.maxFields" -> intS,
+      "spark.sql.join.preferSortMergeJoin" -> boolS,
+      "spark.sql.sort.enableRadixSort" -> boolS,
+    )
+  }
+
+  test("each runtime-space key renders as the key-to-renderer map did, at both range ends and the default") {
+    val space = SparkObjective.runtimeSpace
+    assert(space.names.toSet == keyedRenderers.keySet)
+    space.params.foreach { p =>
+      val (lo, hi) = space.range(p)
+      Seq(lo, hi, p.default).foreach { v =>
+        objective.applyConf(ConfigValues(Map(p.name -> v)))
+        assert(spark.conf.get(p.name) == keyedRenderers(p.name)(v), s"${p.name} = $v")
+      }
+    }
+    assert((space.names.toSet intersect objective.skippedKeys).isEmpty)
+    objective.applyConf(space.defaults)
+    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
+  }
+
   test("every runtime-space parameter is settable on this Spark version") {
     objective.applyConf(SparkObjective.runtimeSpace.defaults)
     val notSettable = SparkObjective.runtimeSpace.names.toSet intersect objective.skippedKeys
@@ -76,7 +95,7 @@ class SparkObjectiveSpec extends SparkSpec {
 
   test("unknown conf keys are skipped, not fatal") {
     val weird = ConfigValues(Map("spark.sql.shuffle.partitions" -> 8.0, "zz.unknown" -> 1.0))
-    objective.applyConf(weird) // must not throw: unknown key simply isn't in `settable`
+    objective.applyConf(weird) // must not throw: unknown key simply isn't in `runtimeSpace`
     assert(spark.conf.get("spark.sql.shuffle.partitions") == "8")
     spark.conf.set("spark.sql.shuffle.partitions", SparkSpec.ShufflePartitions.toLong)
   }

@@ -1,6 +1,9 @@
 package repro.stats
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
+import repro.core.{ConfigSpace, Iicp}
+import repro.linalg.Mat
 import scala.util.Random
 
 class KpcaSpec extends AnyFunSuite {
@@ -89,6 +92,89 @@ class KpcaSpec extends AnyFunSuite {
       val k = Kpca.fit(xs, kern)
       assert(k.transform(xs.head).length == k.nComponents)
       assert(k.nComponents >= 1)
+    }
+  }
+
+  // --- shared Mat.sqDist / Mat.symmetric == the per-module loops, bit for bit ----
+
+  /** Squared distance as KPCA summed it in its own loop: coordinates ascending. */
+  private def refSqDist(x: Array[Double], y: Array[Double]): Double = {
+    var s = 0.0; var i = 0
+    while (i < x.length) { val d = x(i) - y(i); s += d * d; i += 1 }
+    s
+  }
+
+  private def refKernel(k: KpcaKernel): (Array[Double], Array[Double]) => Double = k match {
+    case KpcaKernel.Gaussian(sigma) => (x, y) => math.exp(-refSqDist(x, y) / (2.0 * sigma * sigma))
+    case KpcaKernel.Perceptron => (x, y) => -math.sqrt(refSqDist(x, y))
+    case p: KpcaKernel.Polynomial => p.apply
+  }
+
+  private def refMedianSigma(xs: Seq[Array[Double]]): Double = {
+    val ds = for {
+      i <- xs.indices; j <- (i + 1) until xs.size
+    } yield math.sqrt(refSqDist(xs(i), xs(j)))
+    val pos = ds.filter(_ > 0).sorted
+    if (pos.isEmpty) 1.0 else pos(pos.size / 2)
+  }
+
+  /** KPCA fitted with its own kernel-matrix loop, returned as its transform. */
+  private def refKpca(xs: Seq[Array[Double]], kernel: KpcaKernel, varianceToKeep: Double,
+                      maxComponents: Int): Array[Double] => Array[Double] = {
+    val kern = refKernel(kernel)
+    val n = xs.size
+    val train = xs.toArray
+    val k = Mat.zeros(n, n)
+    for (i <- 0 until n; j <- i until n) {
+      val v = kern(train(i), train(j))
+      k(i, j) = v; k(j, i) = v
+    }
+    val rowMeans = Array.tabulate(n)(i => (0 until n).map(j => k(i, j)).sum / n)
+    val totalMean = rowMeans.sum / n
+    val kc = Mat.zeros(n, n)
+    for (i <- 0 until n; j <- 0 until n) kc(i, j) = k(i, j) - rowMeans(i) - rowMeans(j) + totalMean
+    val (vals, vecs) = Mat.jacobiEigSym(kc)
+    val tot = vals.filter(_ > 1e-10).sum
+    val keep = scala.collection.mutable.ArrayBuffer.empty[Int]
+    var acc = 0.0
+    var i = 0
+    while (i < n && keep.size < maxComponents && (acc < varianceToKeep * tot || keep.isEmpty)) {
+      if (vals(i) > 1e-10) { keep += i; acc += vals(i) }
+      i += 1
+    }
+    val alphas = keep.map(col => Array.tabulate(n)(r => vecs(r, col) / math.sqrt(vals(col))))
+    x => {
+      val kx = train.map(t => kern(x, t))
+      val kxMean = kx.sum / n
+      val centered = Array.tabulate(n)(r => kx(r) - kxMean - rowMeans(r) + totalMean)
+      alphas.map { a =>
+        var s = 0.0; var r = 0
+        while (r < n) { s += a(r) * centered(r); r += 1 }
+        s
+      }.toArray
+    }
+  }
+
+  private def bits(v: Seq[Double]): Seq[Long] = v.map(java.lang.Double.doubleToRawLongBits)
+
+  test("KPCA on Fig 6-shaped inputs equals the per-module kernel-matrix loop, bit for bit") {
+    // Fig 6: 30 random ARM configurations, encoded in the CPS-kept subspace
+    val space = ConfigSpace.full(arm = true)
+    val sim = new SparkClusterSimulator(Workloads.tpcds, ClusterProfile.arm, 6)
+    val rng = new Random(6)
+    val samples = Seq.fill(30) { val c = space.random(rng); (c, sim.run(c, 100.0).totalSeconds) }
+    val sub = space.subspace(Iicp.cps(space, samples).map(_._1), space.defaults)
+    val xs = samples.map { case (c, _) => sub.encode(c) }
+    val probe = xs ++ Seq.fill(20)(sub.randomUnit(rng))
+    assert(bits(Seq(KpcaKernel.medianSigma(xs))) == bits(Seq(refMedianSigma(xs))))
+    val maxComponents = math.max(3, math.ceil(sub.dim / 3.0).toInt)
+    Seq(KpcaKernel.Gaussian(1.0), KpcaKernel.Gaussian(KpcaKernel.medianSigma(xs)), KpcaKernel.Perceptron,
+      KpcaKernel.Polynomial(2, 1.0)).foreach { kernel =>
+      val kpca = Kpca.fit(xs, kernel, 0.9, maxComponents)
+      val ref = refKpca(xs, kernel, 0.9, maxComponents)
+      probe.foreach(x => assert(bits(kpca.transform(x).toSeq) == bits(ref(x).toSeq), kernel.name))
+      val ref2 = refKernel(kernel)
+      assert(bits(for (a <- probe; b <- probe) yield kernel(a, b)) == bits(for (a <- probe; b <- probe) yield ref2(a, b)))
     }
   }
 }
