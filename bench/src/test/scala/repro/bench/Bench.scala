@@ -65,13 +65,6 @@ object Bench {
       Cell(r, sim.expectedTotal(r.bestConf, ds), sim.expectedGc(r.bestConf, ds))
     })
 
-  /** Noise-free time/GC of the Spark-default configuration. */
-  def defaultTime(workloadName: String, c: ClusterProfile, ds: Double): (Double, Double) = {
-    val sim = new SparkClusterSimulator(workload(workloadName), c, Seed)
-    val d = space(c).defaults
-    (sim.expectedTotal(d, ds), sim.expectedGc(d, ds))
-  }
-
   // LOCAT online sessions (Fig 20): initial tune at 100 GB, continuations after.
   final case class OnlineRun(perDsOptSeconds: Map[Double, Double], perDsCleanTime: Map[Double, Double])
   private val onlineCache = TrieMap.empty[(String, String), OnlineRun]

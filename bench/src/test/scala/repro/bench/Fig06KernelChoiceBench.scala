@@ -13,11 +13,13 @@ import scala.util.Random
   * Parameter "selection" by a KPCA kernel: rank the CPS-kept parameters by
   * the sensitivity of the extracted features to each parameter, keep the top
   * 8, vary only those (others at defaults), and measure the SD of execution
-  * times over 30 random settings.
+  * times over 30 random settings. Each kernel's 8 parameters are printed with
+  * its SD: kernels that select the same set measure the same SD.
   */
 class Fig06KernelChoiceBench extends AnyFunSuite {
 
-  private def kernelSd(workloadName: String, kernel: KpcaKernel, seed: Long): Double = {
+  /** The SD of execution times when the kernel's 8 selected parameters vary, and those parameters. */
+  private def kernelSd(workloadName: String, kernel: KpcaKernel, seed: Long): (Double, Set[String]) = {
     val c = ClusterProfile.arm
     val space = ConfigSpace.full(c.armRanges)
     val sim = new SparkClusterSimulator(Bench.workload(workloadName), c, seed)
@@ -44,7 +46,7 @@ class Fig06KernelChoiceBench extends AnyFunSuite {
       val conf = repro.core.ConfigValues(defaults.values ++ r.values.view.filterKeys(selected).toMap)
       sim.expectedTotal(conf, 100.0)
     }
-    Stats.sd(times)
+    (Stats.sd(times), selected)
   }
 
   test("Fig 6: gaussian-kernel KPCA selects the most performance-relevant parameters") {
@@ -52,10 +54,14 @@ class Fig06KernelChoiceBench extends AnyFunSuite {
     val kernels = Seq[(String, Long => KpcaKernel)](
       ("gaussian", _ => KpcaKernel.Gaussian(1.0)),
       ("perceptron", _ => KpcaKernel.Perceptron),
-      ("polynomial", _ => KpcaKernel.Polynomial(2, 1.0)))
+      ("polynomial", _ => KpcaKernel.Polynomial))
     val rows = Seq("TPC-DS", "TPC-H").map { w =>
-      val sds = kernels.map { case (kn, mk) => kn -> kernelSd(w, mk(Bench.Seed), Bench.Seed) }
+      val runs = kernels.map { case (kn, mk) => kn -> kernelSd(w, mk(Bench.Seed), Bench.Seed) }
+      val sds = runs.map { case (kn, (sd, _)) => kn -> sd }
       println(f"$w%-8s " + sds.map { case (kn, sd) => f"$kn=$sd%8.1f" }.mkString("  "))
+      runs.foreach { case (kn, (sd, selected)) =>
+        println(f"  $w%-8s $kn%-10s sd=$sd%8.1f selects ${selected.toSeq.sorted.mkString(", ")}")
+      }
       w -> sds.toMap
     }.toMap
     // shape: gaussian is competitive with the best kernel on both workloads

@@ -14,8 +14,9 @@ import repro.stats.Rng
   * dimensionality reduction, no datasize awareness.
   *
   * @param cluster the cluster whose memory and cores the model packs into
+  * @param boIters guided-BO iterations after the 5 LHS start points
   */
-final class GboRl(cluster: ClusterProfile, nInit: Int = 5, boIters: Int = 140) extends Tuner {
+final class GboRl(cluster: ClusterProfile, boIters: Int = 140) extends Tuner {
   override def name: String = "GBO-RL"
 
   /** Analytical memory-feasibility model (the "white box"). Spaces without
@@ -38,12 +39,12 @@ final class GboRl(cluster: ClusterProfile, nInit: Int = 5, boIters: Int = 140) e
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val log = new TrialLog(objective)
-    BoSearch.run(log, space, ds, Rng(seed), nInit = nInit, nIter = boIters, candidateFilter = memoryFeasible)
+    BoSearch.run(log, space, ds, Rng(seed), nInit = 5, nIter = boIters, candidateFilter = memoryFeasible)
     log.result(log.best)
   }
 }
 
 object GboRl {
   /** Instantiate for a simulated cluster profile. */
-  def forCluster(c: ClusterProfile, boIters: Int = 140): GboRl = new GboRl(c, boIters = boIters)
+  def forCluster(c: ClusterProfile, boIters: Int = 140): GboRl = new GboRl(c, boIters)
 }

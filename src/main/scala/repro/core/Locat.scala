@@ -44,16 +44,17 @@ final class LocatSession(
   // (RQA seconds; for BO picks, the subspace unit it was chosen at)
   private val rqaSamples = ArrayBuffer.empty[(Trial, Observation)]
 
-  private var qcsaResult: Option[Qcsa.Result] = None
-  private var iicpModel: Option[Iicp.Model] = None
-  // the space the RQA phase searches (its decode is the configuration that
-  // runs) and the map from its unit vectors to DAGP features
-  private var rqaSearch: Option[(ConfigSpace, Array[Double] => Array[Double])] = None
+  // set once by tuneInitial: the QCSA and IICP outcomes, the space the RQA phase searches (its
+  // decode is the configuration that runs) and the map from its unit vectors to DAGP features
+  private case class Analysis(qcsa: Qcsa.Result, iicp: Option[Iicp.Model], sub: ConfigSpace,
+                              features: Array[Double] => Array[Double])
+  private var analysis: Option[Analysis] = None
+  private def analyzed: Analysis = analysis.getOrElse(throw new IllegalStateException("run tuneInitial first"))
 
   /** QCSA outcome (available after tuneInitial). */
-  def qcsa: Qcsa.Result = qcsaResult.getOrElse(throw new IllegalStateException("run tuneInitial first"))
-  /** IICP outcome (available after tuneInitial). */
-  def iicp: Iicp.Model = iicpModel.getOrElse(throw new IllegalStateException("run tuneInitial first"))
+  def qcsa: Qcsa.Result = analyzed.qcsa
+  /** IICP outcome (available after tuneInitial, unless IICP is off). */
+  def iicp: Iicp.Model = analyzed.iicp.getOrElse(throw new IllegalStateException("IICP is off in this session"))
   /** Cumulative execution seconds paid so far across all tuning phases. */
   def cumulativeOptimizationSeconds: Double = log.cost
 
@@ -74,13 +75,13 @@ final class LocatSession(
   // ---------------------------------------------------------------- phase 2
 
   private def addRqaSample(t: Trial, unit: Option[Array[Double]]): Unit = {
-    val (sub, features) = rqaSearch.get
+    val Analysis(qcsa, _, sub, features) = analyzed
     val rqaSeconds = qcsa.sensitive.map(t.result.perQuerySeconds).sum
     rqaSamples += ((t, Observation(Dagp.inputVec(features(sub.encode(t.conf)), t.datasizeGB), rqaSeconds, unit)))
   }
 
   private def boOnRqa(ds: Double, itMin: Int, itMax: Int): Unit = {
-    val (sub, features) = rqaSearch.get
+    val Analysis(qcsa, _, sub, features) = analyzed
     var iter = 0
     var continue = true
     while (continue) {
@@ -106,11 +107,11 @@ final class LocatSession(
 
   /** Full LOCAT procedure for the first (or only) datasize. */
   def tuneInitial(ds: Double): TuningResult = {
-    if (qcsaResult.nonEmpty) throw new IllegalStateException("tuneInitial may only run once per session")
+    if (analysis.nonEmpty) throw new IllegalStateException("tuneInitial may only run once per session")
     collectQcsaSamples(ds)
     val fullRuns = log.trials
-    qcsaResult = Some(Qcsa.analyze(fullRuns.map(_.result.perQuerySeconds), objective.queries))
-    if (useIicp) iicpModel = Some(Iicp.fit(space, fullRuns.take(nIicp).map(t => (t.conf, t.result.totalSeconds))))
+    val qcsa = Qcsa.analyze(fullRuns.map(_.result.perQuerySeconds), objective.queries)
+    val iicp = Option.when(useIicp)(Iicp.fit(space, fullRuns.take(nIicp).map(t => (t.conf, t.result.totalSeconds))))
     // Non-important parameters stay at their Spark defaults — LOCAT only
     // tunes the important ones (§3.3); tuning the rest can counteract the
     // gains (§5.6). Resource-sizing parameters are the exception: their
@@ -123,9 +124,8 @@ final class LocatSession(
     val best = log.best.conf
     val pinned = ConfigValues(space.defaults.values.map { case (k, v) => k -> (if (resourceFamily(k)) best(k) else v) })
     // With IICP off (Fig 15 "AP"), the DAGP input is the raw 38-dim encoding.
-    rqaSearch = Some(
-      if (useIicp) (space.subspace(iicp.keptParams, pinned), iicp.featuresOfSubspaceUnit)
-      else (space, identity))
+    analysis = Some(iicp.fold(Analysis(qcsa, None, space, identity))(m =>
+      Analysis(qcsa, iicp, space.subspace(m.keptParams, pinned), m.featuresOfSubspaceUnit)))
     fullRuns.foreach(addRqaSample(_, None))
     boOnRqa(ds, minIter, maxIter)
     finishAtDs(ds)
@@ -135,12 +135,12 @@ final class LocatSession(
     * as an input, so only a short RQA-only BO refinement runs.
     */
   def tuneNext(ds: Double): TuningResult = {
-    if (qcsaResult.isEmpty) throw new IllegalStateException("tuneNext requires tuneInitial")
-    val (n, before) = (log.size, log.cost)
+    if (analysis.isEmpty) throw new IllegalStateException("tuneNext requires tuneInitial")
+    val n = log.size
     boOnRqa(ds, nextMinIter, nextMaxIter)
     val r = finishAtDs(ds)
-    // report only this datasize's trials and their cost
-    r.copy(optimizationSeconds = log.cost - before, trials = r.trials.drop(n))
+    // report only this datasize's trials
+    TuningResult(r.trials.drop(n), r.best)
   }
 }
 

@@ -36,29 +36,32 @@ final case class Trial(conf: ConfigValues, datasizeGB: Double, result: ExecResul
   def costSeconds: Double = result.totalSeconds
 }
 
-/** Outcome of a tuning session.
-  *
-  * @param bestConf        best configuration found (full parameter set)
-  * @param bestTimeSeconds full-application time of `bestConf` as observed/verified
-  * @param optimizationSeconds total execution time spent to find it (the
-  *                        paper's "optimization time"), excluding negligible
-  *                        model-fitting CPU
-  * @param trials          full history
+/** Outcome of a tuning session: the trials it paid for, in execution order,
+  * and the one whose configuration it recommends. Everything it reports is
+  * read from those trials, so the optimization time is by construction the
+  * sum of the trial costs and the recommended configuration one that ran.
   */
-final case class TuningResult(
-    bestConf: ConfigValues,
-    bestTimeSeconds: Double,
-    optimizationSeconds: Double,
-    trials: Seq[Trial],
-)
+final case class TuningResult(trials: Seq[Trial], best: Trial) {
+  require(trials.exists(_ eq best), "the recommended trial must be one of the trials")
 
-/** The trial ledger every tuner records through: it runs `objective`, keeps
-  * the trials in execution order and sums their costs in that order, so a
-  * tuner's optimization time is by construction the sum of its trial costs.
+  /** Best configuration found (full parameter set). */
+  def bestConf: ConfigValues = best.conf
+
+  /** Full-application time of `bestConf` as observed when it ran. */
+  def bestTimeSeconds: Double = best.result.totalSeconds
+
+  /** Total execution time spent to find it (the paper's "optimization
+    * time"), excluding negligible model-fitting CPU: the trial costs summed
+    * in trial order.
+    */
+  def optimizationSeconds: Double = trials.map(_.costSeconds).sum
+}
+
+/** The trial ledger every tuner records through: it runs `objective` and
+  * keeps the trials in execution order.
   */
 final class TrialLog(objective: TuningObjective) {
   private val buf = scala.collection.mutable.ArrayBuffer.empty[Trial]
-  private var total = 0.0
 
   /** Execute once and record it; the cost is the run's wall time. */
   def run(conf: ConfigValues, ds: Double, subset: Option[Seq[String]] = None): Trial = {
@@ -68,19 +71,18 @@ final class TrialLog(objective: TuningObjective) {
   }
 
   /** Record a trial executed elsewhere (a graft's inner tuner). */
-  def add(t: Trial): Unit = { buf += t; total += t.costSeconds }
+  def add(t: Trial): Unit = buf += t
 
   def size: Int = buf.size
-  def apply(i: Int): Trial = buf(i)
   def trials: Seq[Trial] = buf.toVector
 
   /** Sum of the recorded costs, in trial order. */
-  def cost: Double = total
+  def cost: Double = buf.map(_.costSeconds).sum
 
   /** The first trial with the lowest observed time. */
   def best: Trial = buf.minBy(_.result.totalSeconds)
 
-  def result(best: Trial): TuningResult = TuningResult(best.conf, best.result.totalSeconds, total, trials)
+  def result(best: Trial): TuningResult = TuningResult(trials, best)
 }
 
 /** A configuration auto-tuner (LOCAT or one of the four SOTA baselines). */

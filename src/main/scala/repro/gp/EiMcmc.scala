@@ -204,7 +204,7 @@ object EiMcmc {
     * of it clamped to the cube, the j-th with sd `sigmas(j % sigmas.size)`.
     */
   def candidatePool(rng: Random, dim: Int, nRandom: Int, incumbent: Option[Array[Double]], nLocal: Int,
-                    sigmas: Seq[Double] = Seq(0.08)): Array[Array[Double]] = {
+                    sigmas: Seq[Double]): Array[Array[Double]] = {
     val random = Array.fill(nRandom)(Array.fill(dim)(rng.nextDouble()))
     val local = incumbent.fold(Array.empty[Array[Double]]) { inc =>
       Array.tabulate(nLocal)(j => inc.map(v => clamp01(v + rng.nextGaussian() * sigmas(j % sigmas.size))))

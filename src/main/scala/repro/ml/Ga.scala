@@ -11,8 +11,7 @@ import scala.util.Random
 object Ga {
   final case class Result(best: Array[Double], bestFitness: Double)
 
-  def minimize(fitness: Array[Double] => Double, d: Int, rng: Random,
-               popSize: Int = 40, generations: Int = 60): Result = {
+  def minimize(fitness: Array[Double] => Double, d: Int, rng: Random, popSize: Int, generations: Int): Result = {
     require(d >= 1 && popSize >= 4, "ga needs d>=1, popSize>=4")
     var pop = Array.fill(popSize)(Array.fill(d)(rng.nextDouble()))
     var fit = pop.map(fitness)

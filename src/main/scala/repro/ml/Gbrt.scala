@@ -29,9 +29,8 @@ final class Gbrt private (stages: Array[RegressionTree], base: Double, learningR
 }
 
 object Gbrt {
-  def fit(x: Seq[Array[Double]], y: Seq[Double],
-          nTrees: Int = 80, maxDepth: Int = 3, learningRate: Double = 0.1,
-          minSamplesLeaf: Int = 3): Gbrt = {
+  def fit(x: Seq[Array[Double]], y: Seq[Double], nTrees: Int, maxDepth: Int,
+          learningRate: Double = 0.1, minSamplesLeaf: Int = 3): Gbrt = {
     require(x.nonEmpty && x.size == y.size, "gbrt needs equal non-empty x/y")
     require(nTrees >= 1, s"gbrt needs at least one tree, got $nTrees")
     val xa = x.toArray

@@ -19,7 +19,7 @@ final class KernelRidge private (train: Array[Array[Double]], dual: Array[Double
 object KernelRidge {
   private def rbf(gamma: Double)(a: Array[Double], b: Array[Double]): Double = math.exp(-gamma * Mat.sqDist(a, b))
 
-  def fit(x: Seq[Array[Double]], y: Seq[Double], gamma: Double = 1.0, lambda: Double = 1e-2): KernelRidge = {
+  def fit(x: Seq[Array[Double]], y: Seq[Double], gamma: Double, lambda: Double): KernelRidge = {
     require(x.nonEmpty && x.size == y.size, "kernel ridge needs equal non-empty x/y")
     val n = x.size
     val xa = x.toArray
@@ -43,7 +43,7 @@ final class KnnRegression private (x: Array[Array[Double]], y: Array[Double], k:
 }
 
 object KnnRegression {
-  def fit(x: Seq[Array[Double]], y: Seq[Double], k: Int = 5): KnnRegression = {
+  def fit(x: Seq[Array[Double]], y: Seq[Double], k: Int): KnnRegression = {
     require(x.nonEmpty && x.size == y.size, "knn needs equal non-empty x/y")
     new KnnRegression(x.toArray, y.toArray, math.min(k, x.size))
   }

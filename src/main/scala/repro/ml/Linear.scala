@@ -14,7 +14,10 @@ final class LinearRegression private (val weights: Array[Double], val bias: Doub
 }
 
 object LinearRegression {
-  def fit(x: Seq[Array[Double]], y: Seq[Double], ridge: Double = 1e-8): LinearRegression = {
+  /** Ridge weight per sample: just enough to keep XᵀX positive definite. */
+  private val Ridge = 1e-8
+
+  def fit(x: Seq[Array[Double]], y: Seq[Double]): LinearRegression = {
     require(x.nonEmpty && x.size == y.size, "linear regression needs equal non-empty x/y")
     val n = x.size; val d = x.head.length
     // augmented design with intercept column
@@ -29,7 +32,7 @@ object LinearRegression {
       for (a <- 0 to d) xty(a) += aug(a) * yi
     }
     var i = 0
-    while (i <= d) { xtx(i, i) += ridge * n; i += 1 }
+    while (i <= d) { xtx(i, i) += Ridge * n; i += 1 }
     val l = Mat.cholesky(xtx)
     val w = Mat.choleskySolve(l, xty)
     new LinearRegression(w.take(d), w(d))

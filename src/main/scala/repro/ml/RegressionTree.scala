@@ -34,12 +34,6 @@ object RegressionTree {
     case Split(f, t, _, l, r) => if (x(f) <= t) walk(l, x) else walk(r, x)
   }
 
-  def fit(x: Seq[Array[Double]], y: Seq[Double], maxDepth: Int = 4, minSamplesLeaf: Int = 3): RegressionTree = {
-    require(x.nonEmpty && x.size == y.size, "tree needs equal non-empty x/y")
-    val xa = x.toArray
-    fitSorted(xa, y.toArray, presort(xa), maxDepth, minSamplesLeaf)
-  }
-
   /** Row indices sorted by each feature. The sort is stable, so ties keep
     * ascending row order: the order restricted to any ascending subset of rows
     * is exactly that subset's own stable sort.

@@ -20,12 +20,12 @@ object KpcaKernel {
     val name = "gaussian"
   }
 
-  /** Polynomial kernel (xᵀy + c)^d. */
-  final case class Polynomial(degree: Int = 2, c: Double = 1.0) extends KpcaKernel {
+  /** Polynomial kernel (xᵀy + 1)², the one Fig 6 compares. */
+  case object Polynomial extends KpcaKernel {
     def apply(x: Array[Double], y: Array[Double]): Double = {
       var dot = 0.0; var i = 0
       while (i < x.length) { dot += x(i) * y(i); i += 1 }
-      math.pow(dot + c, degree.toDouble)
+      math.pow(dot + 1.0, 2.0)
     }
     val name = "polynomial"
   }
@@ -90,8 +90,7 @@ final class Kpca private (
 
 object Kpca {
   /** Fit KPCA on `xs` (each an equal-length feature vector). */
-  def fit(xs: Seq[Array[Double]], kernel: KpcaKernel,
-          varianceToKeep: Double = 0.85, maxComponents: Int = 10): Kpca = {
+  def fit(xs: Seq[Array[Double]], kernel: KpcaKernel, varianceToKeep: Double, maxComponents: Int): Kpca = {
     require(xs.size >= 3, "kpca needs at least 3 samples")
     val n = xs.size
     val train = xs.toArray

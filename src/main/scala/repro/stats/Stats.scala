@@ -1,7 +1,7 @@
 package repro.stats
 
 /** Descriptive statistics used throughout LOCAT: mean, (population) standard
-  * deviation, Coefficient of Variation (paper eq. 3), MSE, ranks, and the
+  * deviation, Coefficient of Variation (paper eq. 3), ranks, and the
   * Spearman Correlation Coefficient used by CPS (paper §3.3.2).
   */
 object Stats {
@@ -21,11 +21,6 @@ object Stats {
   def cv(xs: Seq[Double]): Double = {
     val m = mean(xs)
     if (m == 0.0) 0.0 else sd(xs) / m
-  }
-
-  def mse(pred: Seq[Double], actual: Seq[Double]): Double = {
-    require(pred.size == actual.size && pred.nonEmpty, "mse needs equal non-empty seqs")
-    pred.zip(actual).map { case (p, a) => (p - a) * (p - a) }.sum / pred.size
   }
 
   /** Relative error used for Fig 16-style model-accuracy comparison. */

@@ -92,7 +92,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("GBO-RL tunes the synthetic objective") {
     val obj = TestObjectives.synthetic(4)
-    val g = new GboRl(hugeCluster, nInit = 3, boIters = 20)
+    val g = new GboRl(hugeCluster, boIters = 18)
     val r = g.tune(obj, obj.space, 100.0, 4)
     assert(obj.expected(r.bestConf, 100.0).values.sum < 27.0)
     assert(r.trials.size == 23)
@@ -124,7 +124,7 @@ class BaselinesSpec extends AnyFunSuite {
       new Locat(nQcsa = 12, nIicp = 10, minIter = 3, maxIter = 5, useIicp = false),
       smallTuneful,
       new Dac(nSamples = 20, gaCandidates = 2, nTrees = 30),
-      new GboRl(hugeCluster, nInit = 3, boIters = 4),
+      new GboRl(hugeCluster, boIters = 4),
       smallQTune,
       new RandomSearch(10),
       new QcsaIicpGraft(smallTuneful, useQcsa = true, useIicp = false, nQcsa = 12, nIicp = 10),

@@ -48,7 +48,19 @@ class LocatSpec extends AnyFunSuite {
     val obj = freshObjective(5)
     val r = new Locat(nQcsa = 15, nIicp = 12, minIter = 5, maxIter = 10)
       .tune(obj, obj.space, 100.0, seed = 5)
-    assert(math.abs(r.optimizationSeconds - r.trials.map(_.costSeconds).sum) < 1e-9)
+    assert(r.optimizationSeconds == r.trials.map(_.costSeconds).sum)
+  }
+
+  test("TuningResult rejects a recommended trial that is not one of its trials") {
+    val obj = freshObjective(12)
+    val log = new TrialLog(obj)
+    val a = log.run(obj.space.defaults, 100.0)
+    log.run(obj.space.defaults, 200.0)
+    assert(log.result(a).best eq a)
+    val outsider = Trial(a.conf, 300.0, obj.run(a.conf, 300.0))
+    intercept[IllegalArgumentException](TuningResult(log.trials, outsider))
+    // an equal copy is still not the trial that ran
+    intercept[IllegalArgumentException](TuningResult(log.trials, a.copy()))
   }
 
   test("stop condition: phase 2 runs at least minIter and at most maxIter RQA iterations") {
@@ -83,8 +95,7 @@ class LocatSpec extends AnyFunSuite {
     assert(next.trials.size >= 3 && next.trials.size <= 5) // 2–4 RQA iterations + the verify run
     assert(next.trials.exists(_.conf == next.bestConf))
     val sum = next.trials.map(_.costSeconds).sum
-    assert(math.abs(sum - next.optimizationSeconds) < 1e-9 * next.optimizationSeconds,
-      s"trials sum to $sum, reported ${next.optimizationSeconds}")
+    assert(sum == next.optimizationSeconds, s"trials sum to $sum, reported ${next.optimizationSeconds}")
     assert(math.abs(first.optimizationSeconds + next.optimizationSeconds - session.cumulativeOptimizationSeconds) < 1e-9)
   }
 
@@ -111,6 +122,17 @@ class LocatSpec extends AnyFunSuite {
     intercept[IllegalStateException] { s1.tuneNext(100.0) }
     s1.tuneInitial(100.0)
     intercept[IllegalStateException] { s1.tuneInitial(200.0) }
+  }
+
+  test("iicp says whether tuneInitial has not run or IICP is off") {
+    val obj = freshObjective(11)
+    val on = new LocatSession(obj, obj.space, seed = 11, nQcsa = 12, nIicp = 10, minIter = 3, maxIter = 4)
+    assert(intercept[IllegalStateException](on.iicp).getMessage == "run tuneInitial first")
+    val off = new LocatSession(obj, obj.space, seed = 11, nQcsa = 12, nIicp = 10, minIter = 3, maxIter = 4,
+      useIicp = false)
+    off.tuneInitial(100.0)
+    assert(off.qcsa.sensitive.nonEmpty)
+    assert(intercept[IllegalStateException](off.iicp).getMessage == "IICP is off in this session")
   }
 
   test("LOCAT beats random search with the same execution budget") {

@@ -399,9 +399,9 @@ class GpSpec extends AnyFunSuite {
     val d = 7
     val inc = Array(0.0, 1.0, 0.5, 0.02, 0.98, 0.3, 0.7)
     val cases = Seq[(Random => Seq[Array[Double]], Random => Array[Array[Double]])](
-      (locatQcsa(_, d, inc), EiMcmc.candidatePool(_, d, 192, Some(inc), 48)),
+      (locatQcsa(_, d, inc), EiMcmc.candidatePool(_, d, 192, Some(inc), 48, Seq(0.08))),
       (locatRqa(_, d, inc), EiMcmc.candidatePool(_, d, 320, Some(inc), 96, Seq(0.08, 0.025))),
-      (boSearch(_, d, inc), EiMcmc.candidatePool(_, d, 120, Some(inc), 40)))
+      (boSearch(_, d, inc), EiMcmc.candidatePool(_, d, 120, Some(inc), 40, Seq(0.08))))
     cases.zipWithIndex.foreach { case ((old, pool), k) =>
       val (rOld, rNew) = (new Random(30 + k), new Random(30 + k))
       val (want, got) = (old(rOld), pool(rNew))
@@ -431,7 +431,7 @@ class GpSpec extends AnyFunSuite {
                filter: Array[Double] => Boolean): (Array[Double], Double) = {
       val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 6, thin = 2)
       val best = ys.min
-      val pool = EiMcmc.candidatePool(rng, dim, 120, Some(xs(ys.indexOf(best))), 40).filter(filter)
+      val pool = EiMcmc.candidatePool(rng, dim, 120, Some(xs(ys.indexOf(best))), 40, Seq(0.08)).filter(filter)
       val (bestI, bestEi) = model.maxEi(pool, best)
       if (bestEi > Double.NegativeInfinity) (pool(bestI), bestEi) else (Array.fill(dim)(rng.nextDouble()), bestEi)
     }
@@ -503,7 +503,7 @@ class GpSpec extends AnyFunSuite {
   }
 
   test("candidatePool without an incumbent draws only the uniform points") {
-    val pool = EiMcmc.candidatePool(new Random(31), 3, 25, None, 40)
+    val pool = EiMcmc.candidatePool(new Random(31), 3, 25, None, 40, Seq(0.08))
     assert(pool.length == 25)
     assert(pool.forall(u => u.length == 3 && u.forall(v => v >= 0.0 && v < 1.0)))
   }
@@ -513,7 +513,7 @@ class GpSpec extends AnyFunSuite {
     val xs = (0 until 10).map(_ => Array(rng.nextDouble(), rng.nextDouble()))
     val ys = xs.map(x => (x(0) - 0.3) * (x(0) - 0.3) + x(1))
     val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 5)
-    val pool = EiMcmc.candidatePool(rng, 2, 256, Some(xs(ys.indexOf(ys.min))), 64)
+    val pool = EiMcmc.candidatePool(rng, 2, 256, Some(xs(ys.indexOf(ys.min))), 64, Seq(0.08))
     val (i, ei) = model.maxEi(pool, ys.min)
     assert(pool(i).forall(v => v >= 0.0 && v <= 1.0))
     assert(ei >= 0.0)

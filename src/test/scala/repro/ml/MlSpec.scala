@@ -9,6 +9,15 @@ import scala.util.Random
 
 class MlSpec extends AnyFunSuite {
 
+  /** One tree from the presorted builder GBRT fits its stages with. */
+  private def fitTree(xs: Seq[Array[Double]], ys: Seq[Double], maxDepth: Int, minSamplesLeaf: Int): RegressionTree = {
+    val xa = xs.toArray
+    RegressionTree.fitSorted(xa, ys.toArray, RegressionTree.presort(xa), maxDepth, minSamplesLeaf)
+  }
+
+  private def mse(pred: Seq[Double], actual: Seq[Double]): Double =
+    pred.zip(actual).map { case (p, a) => (p - a) * (p - a) }.sum / pred.size
+
   private def xor(n: Int, rng: Random): (Seq[Array[Double]], Seq[Double]) = {
     val xs = Seq.fill(n)(Array(rng.nextDouble(), rng.nextDouble()))
     val ys = xs.map(x => if ((x(0) > 0.5) != (x(1) > 0.5)) 10.0 else 0.0)
@@ -19,7 +28,7 @@ class MlSpec extends AnyFunSuite {
 
   test("tree on constant target is a single leaf predicting the constant") {
     val xs = Seq.fill(10)(Array(0.5))
-    val t = RegressionTree.fit(xs, Seq.fill(10)(7.0))
+    val t = fitTree(xs, Seq.fill(10)(7.0), maxDepth = 4, minSamplesLeaf = 3)
     assert(t.predict(Array(0.1)) == 7.0)
     assert(t.featureImportance.sum == 0.0)
   }
@@ -27,23 +36,23 @@ class MlSpec extends AnyFunSuite {
   test("tree recovers a step function exactly") {
     val xs = (0 until 40).map(i => Array(i / 40.0))
     val ys = xs.map(x => if (x(0) < 0.5) 1.0 else 9.0)
-    val t = RegressionTree.fit(xs, ys, maxDepth = 2)
+    val t = fitTree(xs, ys, maxDepth = 2, minSamplesLeaf = 3)
     assert(t.predict(Array(0.2)) == 1.0)
     assert(t.predict(Array(0.8)) == 9.0)
   }
 
   test("tree fits XOR (needs depth 2)") {
     val (xs, ys) = xor(200, new Random(1))
-    val t = RegressionTree.fit(xs, ys, maxDepth = 3, minSamplesLeaf = 5)
+    val t = fitTree(xs, ys, maxDepth = 3, minSamplesLeaf = 5)
     val preds = xs.map(t.predict)
-    assert(Stats.mse(preds, ys) < 2.0)
+    assert(mse(preds, ys) < 2.0)
   }
 
   test("tree importance concentrates on the informative feature") {
     val rng = new Random(2)
     val xs = Seq.fill(150)(Array(rng.nextDouble(), rng.nextDouble(), rng.nextDouble()))
     val ys = xs.map(x => 10 * x(1)) // only feature 1 matters
-    val t = RegressionTree.fit(xs, ys, maxDepth = 4)
+    val t = fitTree(xs, ys, maxDepth = 4, minSamplesLeaf = 3)
     val imp = t.featureImportance
     assert(imp(1) > imp(0) * 10 && imp(1) > imp(2) * 10)
   }
@@ -51,7 +60,7 @@ class MlSpec extends AnyFunSuite {
   test("tree respects minSamplesLeaf") {
     val xs = (0 until 10).map(i => Array(i.toDouble))
     val ys = xs.map(_(0))
-    val t = RegressionTree.fit(xs, ys, maxDepth = 10, minSamplesLeaf = 5)
+    val t = fitTree(xs, ys, maxDepth = 10, minSamplesLeaf = 5)
     // with minLeaf=5 on 10 points, at most one split is possible
     val distinct = xs.map(t.predict).distinct
     assert(distinct.size <= 2)
@@ -64,10 +73,10 @@ class MlSpec extends AnyFunSuite {
     val xs = Seq.fill(200)(Array(rng.nextDouble(), rng.nextDouble()))
     val ys = xs.map(x => math.sin(x(0) * 5) + 2 * x(1))
     val gbrt = Gbrt.fit(xs, ys, nTrees = 80, maxDepth = 3)
-    val tree = RegressionTree.fit(xs, ys, maxDepth = 3)
-    val meanMse = Stats.mse(Seq.fill(xs.size)(Stats.mean(ys)), ys)
-    val gbrtMse = Stats.mse(xs.map(gbrt.predict), ys)
-    val treeMse = Stats.mse(xs.map(tree.predict), ys)
+    val tree = fitTree(xs, ys, maxDepth = 3, minSamplesLeaf = 3)
+    val meanMse = mse(Seq.fill(xs.size)(Stats.mean(ys)), ys)
+    val gbrtMse = mse(xs.map(gbrt.predict), ys)
+    val treeMse = mse(xs.map(tree.predict), ys)
     assert(gbrtMse < treeMse)
     assert(gbrtMse < meanMse * 0.05)
   }
@@ -93,7 +102,7 @@ class MlSpec extends AnyFunSuite {
 
   test("gbrt rejects fewer than one tree") {
     val xs = Seq(Array(0.0), Array(1.0), Array(2.0), Array(3.0))
-    intercept[IllegalArgumentException](Gbrt.fit(xs, Seq(1.0, 2.0, 3.0, 4.0), nTrees = 0))
+    intercept[IllegalArgumentException](Gbrt.fit(xs, Seq(1.0, 2.0, 3.0, 4.0), nTrees = 0, maxDepth = 3))
   }
 
   // --- presorted builder == per-node sorting builder, bit for bit ---------------
@@ -102,7 +111,7 @@ class MlSpec extends AnyFunSuite {
 
   private def assertSameTree(xs: Seq[Array[Double]], ys: Seq[Double], probe: Seq[Array[Double]],
                              maxDepth: Int, minLeaf: Int): Unit = {
-    val t = RegressionTree.fit(xs, ys, maxDepth, minLeaf)
+    val t = fitTree(xs, ys, maxDepth, minLeaf)
     val r = PerNodeSortReference.fitTree(xs, ys, maxDepth, minLeaf)
     assert(bits(probe.map(t.predict)) == bits(probe.map(r.predict)))
     assert(bits(t.featureImportance.toSeq) == bits(r.featureImportance.toSeq))
@@ -205,8 +214,8 @@ class MlSpec extends AnyFunSuite {
     val ys = xs.map(x => math.sin(x(0) * 2 * math.Pi))
     val kr = KernelRidge.fit(xs, ys, gamma = 10.0, lambda = 1e-3)
     val lin = LinearRegression.fit(xs, ys)
-    val krMse = Stats.mse(xs.map(kr.predict), ys)
-    val linMse = Stats.mse(xs.map(lin.predict), ys)
+    val krMse = mse(xs.map(kr.predict), ys)
+    val linMse = mse(xs.map(lin.predict), ys)
     assert(krMse < linMse * 0.1, s"kr=$krMse lin=$linMse")
   }
 

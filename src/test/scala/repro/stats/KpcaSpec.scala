@@ -25,7 +25,7 @@ class KpcaSpec extends AnyFunSuite {
   }
 
   test("polynomial kernel matches closed form") {
-    val k = KpcaKernel.Polynomial(degree = 2, c = 1.0)
+    val k = KpcaKernel.Polynomial
     assert(k(Array(1.0, 2.0), Array(3.0, 4.0)) == 144.0) // (11+1)^2
   }
 
@@ -42,7 +42,7 @@ class KpcaSpec extends AnyFunSuite {
 
   test("kpca requires at least 3 samples") {
     intercept[IllegalArgumentException] {
-      Kpca.fit(Seq(Array(1.0), Array(2.0)), KpcaKernel.Gaussian(1.0))
+      Kpca.fit(Seq(Array(1.0), Array(2.0)), KpcaKernel.Gaussian(1.0), 0.85, 10)
     }
   }
 
@@ -56,7 +56,7 @@ class KpcaSpec extends AnyFunSuite {
   test("kpca transform dimensionality equals nComponents") {
     val rng = new Random(3)
     val xs = Seq.fill(20)(Array.fill(5)(rng.nextDouble()))
-    val k = Kpca.fit(xs, KpcaKernel.Gaussian(1.0))
+    val k = Kpca.fit(xs, KpcaKernel.Gaussian(1.0), 0.85, 10)
     assert(k.transform(Array.fill(5)(0.5)).length == k.nComponents)
   }
 
@@ -78,7 +78,7 @@ class KpcaSpec extends AnyFunSuite {
   test("training-point projections have near-zero mean (double centering)") {
     val rng = new Random(5)
     val xs = Seq.fill(25)(Array.fill(4)(rng.nextDouble()))
-    val k = Kpca.fit(xs, KpcaKernel.Gaussian(0.8))
+    val k = Kpca.fit(xs, KpcaKernel.Gaussian(0.8), 0.85, 10)
     (0 until k.nComponents).foreach { c =>
       val m = Stats.mean(xs.map(x => k.transform(x)(c)))
       assert(math.abs(m) < 1e-6, s"component $c mean=$m")
@@ -88,8 +88,8 @@ class KpcaSpec extends AnyFunSuite {
   test("kpca works with polynomial and perceptron kernels too") {
     val rng = new Random(7)
     val xs = Seq.fill(15)(Array.fill(3)(rng.nextDouble()))
-    Seq(KpcaKernel.Polynomial(2, 1.0), KpcaKernel.Perceptron).foreach { kern =>
-      val k = Kpca.fit(xs, kern)
+    Seq(KpcaKernel.Polynomial, KpcaKernel.Perceptron).foreach { kern =>
+      val k = Kpca.fit(xs, kern, 0.85, 10)
       assert(k.transform(xs.head).length == k.nComponents)
       assert(k.nComponents >= 1)
     }
@@ -107,7 +107,7 @@ class KpcaSpec extends AnyFunSuite {
   private def refKernel(k: KpcaKernel): (Array[Double], Array[Double]) => Double = k match {
     case KpcaKernel.Gaussian(sigma) => (x, y) => math.exp(-refSqDist(x, y) / (2.0 * sigma * sigma))
     case KpcaKernel.Perceptron => (x, y) => -math.sqrt(refSqDist(x, y))
-    case p: KpcaKernel.Polynomial => p.apply
+    case KpcaKernel.Polynomial => KpcaKernel.Polynomial.apply
   }
 
   private def refMedianSigma(xs: Seq[Array[Double]]): Double = {
@@ -169,7 +169,7 @@ class KpcaSpec extends AnyFunSuite {
     assert(bits(Seq(KpcaKernel.medianSigma(xs))) == bits(Seq(refMedianSigma(xs))))
     val maxComponents = math.max(3, math.ceil(sub.dim / 3.0).toInt)
     Seq(KpcaKernel.Gaussian(1.0), KpcaKernel.Gaussian(KpcaKernel.medianSigma(xs)), KpcaKernel.Perceptron,
-      KpcaKernel.Polynomial(2, 1.0)).foreach { kernel =>
+      KpcaKernel.Polynomial).foreach { kernel =>
       val kpca = Kpca.fit(xs, kernel, 0.9, maxComponents)
       val ref = refKpca(xs, kernel, 0.9, maxComponents)
       probe.foreach(x => assert(bits(kpca.transform(x).toSeq) == bits(ref(x).toSeq), kernel.name))

@@ -23,11 +23,6 @@ class StatsSpec extends AnyFunSuite {
     assert(math.abs(Stats.cv(xs) - Stats.cv(xs.map(_ * 37.5))) < 1e-12)
   }
 
-  test("mse of identical series is 0; known value otherwise") {
-    assert(Stats.mse(Seq(1.0, 2.0), Seq(1.0, 2.0)) == 0.0)
-    assert(Stats.mse(Seq(1.0, 2.0), Seq(2.0, 4.0)) == 2.5)
-  }
-
   test("meanRelativeError known value") {
     assert(math.abs(Stats.meanRelativeError(Seq(110.0, 90.0), Seq(100.0, 100.0)) - 0.1) < 1e-12)
   }

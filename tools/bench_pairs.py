@@ -16,7 +16,9 @@ file is rewritten after every run, so an interrupted series keeps its runs.
 Each end-to-end metric gets each side's median and quartiles, the parent's
 interquartile range, the pairs the change won (ties count for neither), the
 change's median relative to the parent's in the worse direction, whether the
-two sides read the same on every seed, and a verdict:
+two sides read the same on every seed, the largest relative difference of one
+seed's pair (|change - parent| over the larger magnitude of the two, 0 when
+both are 0), so a last-bit change reads as ~1e-16, and a verdict:
 
 - "identical": equal on every seed;
 - "gain": the change won at least 9 of every 10 pairs and its median beats the
@@ -56,6 +58,7 @@ def metric_summary(pairs, better, bound):
     won = sum(1 for p, c in pairs if sign * (c - p) < 0)
     worse_by = sign * (cm - pm) / abs(pm) + 0.0 if pm else 0.0  # + 0.0 turns -0.0 into 0.0
     identical = all(p == c for p, c in pairs)
+    max_rel = max((abs(c - p) / max(abs(p), abs(c)) if p != c else 0.0) for p, c in pairs)
     spread = max(iqr, cq[1] - cq[0]) / abs(pm) if pm else 0.0
     all_better = all(sign * (c - p) < 0 for p in parent for c in change)
     if identical:
@@ -71,7 +74,7 @@ def metric_summary(pairs, better, bound):
     return {"parent_median": pm, "change_median": cm, "parent_quartiles": pq, "change_quartiles": cq,
             "parent_iqr": iqr, "change_worse_by": round(worse_by, 4), "change_won_pairs": won,
             "pairs": len(pairs), "spread": round(spread, 4), "bound": bound,
-            "identical_per_seed": identical, "verdict": verdict}
+            "identical_per_seed": identical, "max_rel_diff_per_seed": max_rel, "verdict": verdict}
 
 
 def summarize(runs, metrics):

@@ -74,6 +74,19 @@ class SummaryTest(unittest.TestCase):
         s = bench_pairs.metric_summary([(1.0, 1.05), (1.01, 1.04), (0.99, 1.06)], "lower", 0.25)
         self.assertEqual(s["verdict"], "within bound")
 
+    def test_max_rel_diff_per_seed_tells_a_last_bit_change_from_a_real_one(self):
+        x = 1234.5678
+        s = bench_pairs.metric_summary([(x, x), (2.0, 2.0)], "lower", 0.25)
+        self.assertEqual(s["max_rel_diff_per_seed"], 0.0)
+        last_bit = x + x * 2.0 ** -52  # the next double above x
+        s = bench_pairs.metric_summary([(x, last_bit), (2.0, 2.0)], "lower", 0.25)
+        self.assertFalse(s["identical_per_seed"])
+        self.assertGreater(s["max_rel_diff_per_seed"], 0.0)
+        self.assertLess(s["max_rel_diff_per_seed"], 1e-15)
+        # the largest pair decides, relative to the larger magnitude of the two
+        s = bench_pairs.metric_summary([(x, last_bit), (2.0, 2.5), (0.0, 0.0)], "lower", 0.25)
+        self.assertEqual(s["max_rel_diff_per_seed"], 0.2)
+
     def test_summarize_pairs_by_seed_and_counts_failures(self):
         rs = runs("w", "wall_s", "s", [10.0, 12.0, 11.0], [8.0, 9.0, 13.0])
         rs[1]["failed"] = 2
