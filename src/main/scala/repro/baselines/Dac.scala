@@ -1,5 +1,6 @@
 package repro.baselines
 
+import java.util.concurrent.{Callable, ForkJoinTask}
 import repro.core._
 import repro.ml.{Ga, Gbrt}
 import repro.stats.Rng
@@ -31,11 +32,16 @@ final class Dac(
     val ys = log.trials.map(t => math.log(t.result.totalSeconds))
     val model = Gbrt.fit(xs, ys, nTrees = nTrees, maxDepth = 4)
 
-    // GA over the model; several restarts give distinct candidates
+    // GA over the model; several restarts give distinct candidates. Each
+    // restart owns its generator and the model is read-only, so the restarts
+    // run forked onto the caller's ForkJoinPool (the common pool outside one)
+    // and their candidates come back in restart order.
     val candidates = (0 until gaCandidates).map { k =>
-      Ga.minimize(u => model.predict(u :+ ds / 1000.0), space.dim,
-        Rng(seed * 31 + k), popSize = 40, generations = 50).best
-    }
+      val restart: Callable[Array[Double]] = () =>
+        Ga.minimize(u => model.predict(u :+ ds / 1000.0), space.dim, Rng(seed * 31 + k), popSize = 40,
+          generations = 50).best
+      ForkJoinTask.adapt(restart).fork()
+    }.map(_.join())
     // validate model-optima on the "cluster"; DAC's recommendation is the
     // best of the GA candidates (the model's output), per its protocol
     val validated = candidates.map(u => log.run(space.decode(u), ds))

@@ -1,5 +1,6 @@
 package repro.gp
 
+import java.util.concurrent.{Callable, ForkJoinTask}
 import java.util.stream.IntStream
 import repro.stats.Stats
 import scala.util.Random
@@ -97,6 +98,12 @@ object EiMcmc {
 
   private val Block = GaussianProcess.Block
 
+  /** Smallest training window whose MH proposals [[fitMarginalized]] fits
+    * in parallel: below it a fork/join round trip costs about as much as a
+    * fit.
+    */
+  private val PrefetchFrom = 32
+
   /** Run `task(0 until tasks)` for a pool of `m` candidates: on the calling
     * thread when the pool fits one block (m ≤ `Block`), otherwise as a
     * parallel stream on the common ForkJoinPool (or the ForkJoinPool the
@@ -115,33 +122,85 @@ object EiMcmc {
     * `nBurn` steps of burn-in, then `thin`-spaced draws. Each likelihood
     * evaluation refits a Cholesky (O(n³)), so [[fitLogSeconds]] trains on a
     * window of the most recent observations.
+    *
+    * The chain is prefetched (Brockwell 2006): the calling thread first draws
+    * every step's Gaussians (each × `ProposalSd`) and log-uniform, in the
+    * order of a chain that fits one proposal per step. From `current` at step
+    * k it then fits three proposals at once: current + n_k for step k, and
+    * step k + 1's two branches, current + n_{k+1} (step k rejected) and
+    * (current + n_k) + n_{k+1} (step k accepted). Each step is decided with
+    * the same operands and the same comparison as the one-step chain, and a
+    * draw is the fitted GP object current after its step, so the draws are
+    * the one-step chain's, bit for bit, on any pool. A window of fewer than
+    * `PrefetchFrom` points fits one proposal per step on the calling thread,
+    * and so does a trailing odd step.
+    *
+    * A proposal whose fit fails (a Gram matrix that no jitter makes factor,
+    * which takes non-finite inputs) is rejected and still consumes its
+    * pre-drawn uniform; a chain that drew the uniform after the fit skipped
+    * it. Every other draw order is unchanged.
     */
   def fitMarginalized(kernel: GpKernel, x: Seq[Array[Double]], y: Seq[Double], rng: Random,
                       nSamples: Int, nBurn: Int, thin: Int = 3): Marginalized = {
-    val d = x.head.length
-    var current = GaussianProcess.defaultLogHypers(kernel, d)
-    var currentGp = GaussianProcess.fit(kernel, x, y, current)
-    var currentLp = logPosterior(currentGp)
-    val draws = scala.collection.mutable.ArrayBuffer.empty[GaussianProcess]
+    val start = GaussianProcess.defaultLogHypers(kernel, x.head.length)
     val totalSteps = nBurn + nSamples * thin
-    var step = 0
-    while (step < totalSteps) {
-      val proposal = current.map(h => h + rng.nextGaussian() * ProposalSd)
-      val tryGp =
-        try Some(GaussianProcess.fit(kernel, x, y, proposal))
-        catch { case _: IllegalStateException => None }
-      tryGp.foreach { gp =>
+    val (noise, logU) = Array.fill(totalSteps)(
+      (Array.fill(start.length)(rng.nextGaussian() * ProposalSd), math.log(rng.nextDouble() + 1e-300))).unzip
+    val prefetch = x.size >= PrefetchFrom
+    def proposal(from: Array[Double], k: Int): Array[Double] = Array.tabulate(from.length)(i => from(i) + noise(k)(i))
+    def tryFit(h: Array[Double]): () => Option[GaussianProcess] = () =>
+      try Some(GaussianProcess.fit(kernel, x, y, h))
+      catch { case _: IllegalStateException => None }
+
+    var current = start
+    var currentGp: GaussianProcess = null
+    var currentLp = 0.0
+    val draws = scala.collection.mutable.ArrayBuffer.empty[GaussianProcess]
+    // MH step k on `h`, fitted as `fit`; true when the chain moves to `h`
+    def decide(k: Int, h: Array[Double], fit: Option[GaussianProcess]): Boolean = {
+      val accepted = fit.exists { gp =>
         val lp = logPosterior(gp)
-        if (math.log(rng.nextDouble() + 1e-300) < lp - currentLp) {
-          current = proposal; currentGp = gp; currentLp = lp
-        }
+        val accept = logU(k) < lp - currentLp
+        if (accept) { current = h; currentGp = gp; currentLp = lp }
+        accept
       }
-      step += 1
-      if (step > nBurn && (step - nBurn) % thin == 0) draws += currentGp
+      if (k + 1 > nBurn && (k + 1 - nBurn) % thin == 0) draws += currentGp
+      accepted
     }
-    if (draws.isEmpty) draws += currentGp
+    var k = 0
+    while (k < totalSteps) {
+      val p = proposal(current, k)
+      // step k + 1's proposal if step k rejects, and if it accepts
+      val ahead = if (prefetch && k + 1 < totalSteps) Seq(proposal(current, k + 1), proposal(p, k + 1)) else Nil
+      val startFit = if (k == 0) Seq(() => Some(GaussianProcess.fit(kernel, x, y, start))) else Nil
+      val fits = fitAll(prefetch, startFit ++ (p +: ahead).map(tryFit))
+      if (k == 0) { currentGp = fits.head.get; currentLp = logPosterior(currentGp) }
+      val stepFits = fits.drop(startFit.size)
+      val accepted = decide(k, p, stepFits.head)
+      if (ahead.nonEmpty) {
+        val branch = if (accepted) 1 else 0
+        decide(k + 1, ahead(branch), stepFits(1 + branch))
+      }
+      k += 1 + ahead.size / 2
+    }
+    // a chain of no steps draws its start point
+    if (draws.isEmpty) draws += Option(currentGp).getOrElse(GaussianProcess.fit(kernel, x, y, start))
     Marginalized(draws.toSeq)
   }
+
+  /** Every one of `fits`, results in order: one after another on the calling
+    * thread, or, when `parallel`, the first on the calling thread while the
+    * others run forked onto the caller's ForkJoinPool (the common pool
+    * outside one). An exception of the first cancels the others and
+    * propagates.
+    */
+  private def fitAll[T](parallel: Boolean, fits: Seq[() => T]): Seq[T] =
+    if (!parallel) fits.map(_())
+    else {
+      val forked = fits.tail.map(f => ForkJoinTask.adapt((() => f()): Callable[T]).fork())
+      val first = try fits.head() catch { case e: Throwable => forked.foreach(_.cancel(false)); throw e }
+      first +: forked.map(_.join())
+    }
 
   private def logPosterior(gp: GaussianProcess): Double = {
     // broad zero-mean Gaussian prior over log-hypers, sd = 2
@@ -179,8 +238,10 @@ object EiMcmc {
     * candidate rejected, or every EI NaN).
     *
     * `accept` and `input` may run concurrently, on several candidates at once
-    * and on other threads than the caller's, so both must be pure. The MH
-    * fit and every random draw stay on the calling thread.
+    * and on other threads than the caller's, so both must be pure. Every
+    * random draw stays on the calling thread, in its old order; the MH fits
+    * are prefetched two steps per round on windows of `PrefetchFrom` points
+    * or more (see [[fitMarginalized]]), with the one-step chain's draws.
     */
   def propose(obs: Seq[Observation], rng: Random, nSamples: Int, nBurn: Int, thin: Int,
               dim: Int, nRandom: Int, nLocal: Int, sigmas: Seq[Double],

@@ -1,9 +1,12 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestPools.onPool
 import repro.cluster.ClusterProfile
 import repro.core.{ConfigSpace, ConfigValues, ExecResult, Locat, TestObjectives, TrialLog, Tuner, TuningObjective,
   TuningResult}
+import repro.ml.{Ga, Gbrt}
+import repro.stats.Rng
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -216,6 +219,33 @@ class BaselinesSpec extends AnyFunSuite {
     assert(r.trials.size == 33)
     // the 30 random samples do not depend on the model; the 3 GA candidates do
     assert(r.trials.drop(30).map(_.costSeconds) == Seq(22.557608775787354, 22.590226544572477, 22.073557042773047))
+  }
+
+  test("DAC's forked GA restarts run the sequential restarts' trials on 1 and 4 workers") {
+    // Dac.tune as it was before its GA restarts were forked
+    def sequentialDac(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
+      val rng = Rng(seed)
+      val log = new TrialLog(objective)
+      (0 until 60).foreach(_ => log.run(space.random(rng), ds))
+      val xs = log.trials.map(t => space.encode(t.conf) :+ ds / 1000.0)
+      val ys = log.trials.map(t => math.log(t.result.totalSeconds))
+      val model = Gbrt.fit(xs, ys, nTrees = 60, maxDepth = 4)
+      val candidates = (0 until 5).map { k =>
+        Ga.minimize(u => model.predict(u :+ ds / 1000.0), space.dim, Rng(seed * 31 + k), popSize = 40,
+          generations = 50).best
+      }
+      val validated = candidates.map(u => log.run(space.decode(u), ds))
+      log.result(validated.minBy(_.result.totalSeconds))
+    }
+    val wantObj = TestObjectives.synthetic(27)
+    val want = sequentialDac(wantObj, wantObj.space, 100.0, 27)
+    for (threads <- Seq(1, 4)) {
+      val obj = TestObjectives.synthetic(27)
+      val got = onPool(threads)(new Dac(nSamples = 60, gaCandidates = 5, nTrees = 60).tune(obj, obj.space, 100.0, 27))
+      assert(got.trials.map(_.conf) == want.trials.map(_.conf), s"$threads workers")
+      assert(got.trials.map(_.costSeconds) == want.trials.map(_.costSeconds), s"$threads workers")
+      assert(got.bestConf == want.bestConf, s"$threads workers")
+    }
   }
 
   test("golden: QTune trial costs equal those recorded before GBRT presorting") {

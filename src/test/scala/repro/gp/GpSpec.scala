@@ -1,10 +1,10 @@
 package repro.gp
 
-import java.util.concurrent.ForkJoinPool
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestPools.onPool
 import repro.core.Dagp
 import repro.linalg.{Mat, RowCholesky}
-import repro.stats.Stats
+import repro.stats.{Rng, Stats}
 import scala.util.Random
 
 /** The GP as it was before kernels were prepared and predictions batched:
@@ -90,6 +90,41 @@ private object ReferenceGp {
   }
 }
 
+/** `EiMcmc.fitMarginalized`'s Metropolis–Hastings chain as it was before its
+  * fits were prefetched: one proposal fitted per step, each step's Gaussians
+  * drawn before its fit and its uniform after. Returns the draws.
+  */
+private object ReferenceChain {
+  private def logPosterior(gp: GaussianProcess): Double =
+    gp.logMarginalLikelihood + gp.logHypers.map(h => -0.5 * h * h / 4.0).sum
+
+  def fit(kernel: GpKernel, x: Seq[Array[Double]], y: Seq[Double], rng: Random,
+          nSamples: Int, nBurn: Int, thin: Int): Seq[GaussianProcess] = {
+    var current = GaussianProcess.defaultLogHypers(kernel, x.head.length)
+    var currentGp = GaussianProcess.fit(kernel, x, y, current)
+    var currentLp = logPosterior(currentGp)
+    val draws = scala.collection.mutable.ArrayBuffer.empty[GaussianProcess]
+    val totalSteps = nBurn + nSamples * thin
+    var step = 0
+    while (step < totalSteps) {
+      val proposal = current.map(h => h + rng.nextGaussian() * 0.25)
+      val tryGp =
+        try Some(GaussianProcess.fit(kernel, x, y, proposal))
+        catch { case _: IllegalStateException => None }
+      tryGp.foreach { gp =>
+        val lp = logPosterior(gp)
+        if (math.log(rng.nextDouble() + 1e-300) < lp - currentLp) {
+          current = proposal; currentGp = gp; currentLp = lp
+        }
+      }
+      step += 1
+      if (step > nBurn && (step - nBurn) % thin == 0) draws += currentGp
+    }
+    if (draws.isEmpty) draws += currentGp
+    draws.toSeq
+  }
+}
+
 class GpSpec extends AnyFunSuite {
 
   private val m52 = GpKernel.Matern52(ard = false)
@@ -101,14 +136,6 @@ class GpSpec extends AnyFunSuite {
   private def predict(gp: GaussianProcess, x: Array[Double]): (Double, Double) = {
     val (mu, sd) = gp.predictBatch(Array(x))
     (mu(0), sd(0))
-  }
-
-  /** `body` run as a task of a fresh ForkJoinPool of `threads` workers, so
-    * parallel streams inside it run on that pool.
-    */
-  private def onPool[T](threads: Int)(body: => T): T = {
-    val pool = new ForkJoinPool(threads)
-    try pool.submit(() => body).get finally pool.shutdown()
   }
 
   // --- LHS ------------------------------------------------------------------
@@ -312,6 +339,40 @@ class GpSpec extends AnyFunSuite {
     val (mu, sd) = model.predict(Array(0.5, 0.5))
     assert(!mu.isNaN && !sd.isNaN && sd >= 0)
     assert(model.gps.size == 4)
+  }
+
+  test("the prefetching MH chain draws the one-step chain's GPs, repeats and RNG state on 1 and 4 workers") {
+    // (name, n, d, nSamples, nBurn, thin): the LOCAT QCSA, LOCAT RQA and
+    // BoSearch shapes, windows either side of the prefetch size rule, an
+    // even (14) and an odd (17) step count, and chains of no draw or no step
+    val shapes = Seq(("locat qcsa", 16, 39, 3, 8, 3), ("locat rqa", 80, 5, 4, 10, 3), ("bosearch", 80, 38, 3, 6, 2),
+      ("n 31", 31, 5, 3, 8, 3), ("n 32", 32, 5, 3, 8, 3), ("14 steps", 40, 5, 3, 5, 3), ("17 steps", 40, 5, 3, 8, 3),
+      ("burn-in only", 40, 5, 0, 3, 3), ("no steps", 40, 5, 0, 0, 3))
+    var repeats, moves = 0
+    shapes.zipWithIndex.foreach { case ((k, n, d, nSamples, nBurn, thin), c) =>
+      val data = new Random(70 + c)
+      val xs = (0 until n).map(_ => Array.fill(d)(data.nextDouble()))
+      val ys = xs.map(x => math.log(10.0 + 50.0 * (x(0) - 0.3) * (x(0) - 0.3) + 20.0 * x(1) * x(2)) +
+        0.05 * data.nextGaussian())
+      val refRng = Rng(80 + c)
+      val want = ReferenceChain.fit(m52, xs, ys, refRng, nSamples, nBurn, thin)
+      val wantNext = refRng.nextLong()
+      for (threads <- Seq(1, 4)) {
+        val rng = Rng(80 + c)
+        val got = onPool(threads)(EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples, nBurn, thin)).gps
+        assert(got.size == want.size, s"$k on $threads workers")
+        got.indices.foreach { i =>
+          assert(got(i).logHypers.map(bits).toSeq == want(i).logHypers.map(bits).toSeq,
+            s"$k on $threads workers: draw $i")
+          got.indices.foreach(j => assert((got(i) eq got(j)) == (want(i) eq want(j)),
+            s"$k on $threads workers: draws $i and $j"))
+        }
+        assert(rng.nextLong() == wantNext, s"$k on $threads workers leaves the RNG elsewhere")
+      }
+      repeats += want.indices.count(i => i > 0 && (want(i) eq want(i - 1)))
+      moves += want.indices.count(i => i > 0 && !(want(i) eq want(i - 1)))
+    }
+    assert(repeats > 0 && moves > 0, "the chains should both repeat and move between draws")
   }
 
   test("eiBatch and the mixture predictBatch equal per-point EI and prediction exactly") {
