@@ -3,11 +3,14 @@ package repro.bench
 import repro.baselines._
 import repro.cluster._
 import repro.core._
+import repro.stats.Stats
 import scala.collection.concurrent.TrieMap
+import scala.util.Random
 
 /** Shared infrastructure for the bench suites: tuner construction with the
-  * paper-scale budgets, and a per-JVM memo of tuning runs so the Fig 11/13/
-  * 20/21 suites reuse each other's results instead of re-tuning.
+  * paper-scale budgets, a per-JVM memo of tuning runs so the Fig 11/13/
+  * 20/21 suites reuse each other's results instead of re-tuning, and the
+  * random-configuration samplers of the analysis figures.
   *
   * Budgets (full-application executions) follow each baseline's published
   * sample appetite, scaled to one consistent regime:
@@ -85,6 +88,29 @@ object Bench {
       }
       OnlineRun(opt, clean)
     })
+
+  /** `n` uniformly random configurations of `space`, each with its run on
+    * `sim` at `ds` GB, in the order drawn from `rng`.
+    */
+  def randomRuns(sim: SparkClusterSimulator, space: ConfigSpace, n: Int, ds: Double,
+                 rng: Random): IndexedSeq[(ConfigValues, ExecResult)] =
+    (1 to n).map { _ =>
+      val conf = space.random(rng)
+      (conf, sim.run(conf, ds))
+    }
+
+  /** SD of the noise-free total time at `ds` GB over `nRuns` configurations
+    * that draw only the `selected` parameters at random and hold every other
+    * at its default.
+    */
+  def sdVaryingOnly(sim: SparkClusterSimulator, space: ConfigSpace, selected: Set[String], nRuns: Int, ds: Double,
+                    rng: Random): Double = {
+    val defaults = space.defaults
+    Stats.sd((1 to nRuns).map { _ =>
+      val r = space.random(rng)
+      sim.expectedTotal(ConfigValues(defaults.values ++ r.values.view.filterKeys(selected).toMap), ds)
+    })
+  }
 
   def geomean(xs: Seq[Double]): Double = math.exp(xs.map(math.log).sum / xs.size)
 }

@@ -2,8 +2,8 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterProfile, SparkClusterSimulator}
-import repro.core.{ConfigSpace, Iicp}
-import repro.stats.{KpcaKernel, Stats}
+import repro.core.Iicp
+import repro.stats.KpcaKernel
 import scala.util.Random
 
 /** Fig 6 — KPCA kernel comparison. The paper picks the kernel whose selected
@@ -21,13 +21,10 @@ class Fig06KernelChoiceBench extends AnyFunSuite {
   /** The SD of execution times when the kernel's 8 selected parameters vary, and those parameters. */
   private def kernelSd(workloadName: String, kernel: KpcaKernel, seed: Long): (Double, Set[String]) = {
     val c = ClusterProfile.arm
-    val space = ConfigSpace.full(c.armRanges)
+    val space = Bench.space(c)
     val sim = new SparkClusterSimulator(Bench.workload(workloadName), c, seed)
     val rng = new Random(seed)
-    val samples = (1 to 30).map { _ =>
-      val conf = space.random(rng)
-      (conf, sim.run(conf, 100.0).totalSeconds)
-    }
+    val samples = Bench.randomRuns(sim, space, 30, 100.0, rng).map { case (conf, r) => (conf, r.totalSeconds) }
     val model = Iicp.fit(space, samples, kernel = Some(kernel))
     // sensitivity of the extracted features to each kept parameter
     val sub = model.subspace
@@ -40,13 +37,7 @@ class Fig06KernelChoiceBench extends AnyFunSuite {
     }.sum / base.size
     val selected = sub.names.zipWithIndex.sortBy { case (_, i) => -sens(i) }.take(8).map(_._1).toSet
     // vary only the selected parameters, everything else at defaults
-    val defaults = space.defaults
-    val times = (1 to 30).map { _ =>
-      val r = space.random(rng)
-      val conf = repro.core.ConfigValues(defaults.values ++ r.values.view.filterKeys(selected).toMap)
-      sim.expectedTotal(conf, 100.0)
-    }
-    (Stats.sd(times), selected)
+    (Bench.sdVaryingOnly(sim, space, selected, 30, 100.0, rng), selected)
   }
 
   test("Fig 6: gaussian-kernel KPCA selects the most performance-relevant parameters") {

@@ -2,7 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterProfile, SparkClusterSimulator}
-import repro.core.ConfigSpace
 import repro.stats.Stats
 import scala.util.Random
 
@@ -13,13 +12,13 @@ class Fig07NQcsaBench extends AnyFunSuite {
 
   test("Fig 7: CV saturates around N_QCSA = 30 for TPC-DS and TPC-H") {
     val c = ClusterProfile.arm
-    val space = ConfigSpace.full(c.armRanges)
+    val space = Bench.space(c)
     println("== Fig 7: mean CV vs number of QCSA samples ==")
     Seq("TPC-DS", "TPC-H").foreach { wName =>
       val w = Bench.workload(wName)
       val sim = new SparkClusterSimulator(w, c, Bench.Seed)
       val rng = new Random(Bench.Seed)
-      val runs = (1 to 50).map(_ => sim.run(space.random(rng), 100.0).perQuerySeconds)
+      val runs = Bench.randomRuns(sim, space, 50, 100.0, rng).map(_._2.perQuerySeconds)
       val ns = Seq(5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
       val meanCv = ns.map { n =>
         val window = runs.take(n)

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
-import repro.core.{ConfigSpace, Qcsa}
+import repro.core.Qcsa
 import scala.util.Random
 
 /** Fig 8 / §5.2 — per-query configuration sensitivity of TPC-DS, and the
@@ -13,10 +13,10 @@ class Fig08QcsaBench extends AnyFunSuite {
 
   test("Fig 8: QCSA over 30 runs keeps a CSQ set close to the paper's 23") {
     val c = ClusterProfile.arm
-    val space = ConfigSpace.full(c.armRanges)
+    val space = Bench.space(c)
     val sim = new SparkClusterSimulator(Workloads.tpcds, c, Bench.Seed)
     val rng = new Random(Bench.Seed)
-    val runs = (1 to 30).map(_ => sim.run(space.random(rng), 100.0).perQuerySeconds)
+    val runs = Bench.randomRuns(sim, space, 30, 100.0, rng).map(_._2.perQuerySeconds)
     val r = Qcsa.analyze(runs, sim.queries)
 
     val topCv = r.cvs.toSeq.sortBy(-_._2).take(8)

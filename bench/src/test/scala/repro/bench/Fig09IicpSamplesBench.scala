@@ -1,8 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.{ClusterProfile, SparkClusterSimulator}
-import repro.core.{ConfigSpace, Iicp}
+import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
+import repro.core.Iicp
 import scala.util.Random
 
 /** Fig 9 / Fig 10 — determining N_IICP and the CPS/CPE reduction: the number
@@ -13,15 +13,12 @@ import scala.util.Random
 class Fig09IicpSamplesBench extends AnyFunSuite {
 
   private val c = ClusterProfile.arm
-  private val space = ConfigSpace.full(c.armRanges)
+  private val space = Bench.space(c)
 
   test("Fig 9: CPS-kept parameter count stabilizes as N_IICP grows (TPC-DS)") {
     val sim = new SparkClusterSimulator(Bench.workload("TPC-DS"), c, Bench.Seed)
     val rng = new Random(Bench.Seed)
-    val samples = (1 to 50).map { _ =>
-      val conf = space.random(rng)
-      (conf, sim.run(conf, 100.0).totalSeconds)
-    }
+    val samples = Bench.randomRuns(sim, space, 50, 100.0, rng).map { case (conf, r) => (conf, r.totalSeconds) }
     val ns = Seq(5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
     val counts = ns.map(n => n -> Iicp.cps(space, samples.take(n)).size)
     println("== Fig 9: #important parameters vs N_IICP (TPC-DS) ==")
@@ -37,13 +34,10 @@ class Fig09IicpSamplesBench extends AnyFunSuite {
 
   test("Fig 10: CPS keeps a strict subset; CPE extracts about a third of it (all workloads)") {
     println("== Fig 10: #parameters after CPS and CPE ==")
-    Seq("TPC-DS", "TPC-H", "Join", "Scan", "Aggregation").foreach { wName =>
+    Workloads.all.map(_.name).foreach { wName =>
       val sim = new SparkClusterSimulator(Bench.workload(wName), c, Bench.Seed)
       val rng = new Random(Bench.Seed)
-      val samples = (1 to 20).map { _ =>
-        val conf = space.random(rng)
-        (conf, sim.run(conf, 100.0).totalSeconds)
-      }
+      val samples = Bench.randomRuns(sim, space, 20, 100.0, rng).map { case (conf, r) => (conf, r.totalSeconds) }
       val m = Iicp.fit(space, samples)
       println(f"$wName%-12s CPS=${m.keptParams.size}%2d CPE=${m.nFeatures}%2d (of 38)")
       assert(m.keptParams.size < 38)

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cluster.Workloads
 
 /** Fig 11 / Fig 12 — optimization-time reduction of LOCAT vs the four SOTA
   * tuners on both clusters at 300 GB.
@@ -11,7 +12,7 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class Fig11OptTimeBench extends AnyFunSuite {
 
-  private val workloads = Seq("TPC-DS", "TPC-H", "Join", "Scan", "Aggregation")
+  private val workloads = Workloads.all.map(_.name)
   private val paperAvg = Map(
     ("ARM-4node", "Tuneful") -> 6.4, ("ARM-4node", "DAC") -> 7.0,
     ("ARM-4node", "GBO-RL") -> 4.1, ("ARM-4node", "QTune") -> 9.7,

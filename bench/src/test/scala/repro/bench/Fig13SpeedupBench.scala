@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cluster.Workloads
 
 /** Fig 13 / Fig 14 — speedups of LOCAT-tuned configurations over the SOTA-
   * tuned ones across all 25 program-input pairs per cluster.
@@ -11,8 +12,8 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class Fig13SpeedupBench extends AnyFunSuite {
 
-  private val workloads = Seq("TPC-DS", "TPC-H", "Join", "Scan", "Aggregation")
-  private val sizes = Seq(100.0, 200.0, 300.0, 400.0, 500.0)
+  private val workloads = Workloads.all.map(_.name)
+  private val sizes = Workloads.datasizesGB
   private val paperAvg = Map(
     ("ARM-4node", "Tuneful") -> 2.4, ("ARM-4node", "DAC") -> 2.2,
     ("ARM-4node", "GBO-RL") -> 2.0, ("ARM-4node", "QTune") -> 1.9,

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.ClusterProfile
+import repro.cluster.{ClusterProfile, Workloads}
 
 /** Fig 15 — TPC-DS tuned by LOCAT with all 38 parameters (AP) vs only the
   * IICP-selected important parameters (IP). Paper: IP is 1.8× better on
@@ -12,7 +12,7 @@ class Fig15ApVsIpBench extends AnyFunSuite {
   test("Fig 15: tuning the important parameters beats tuning all 38 (TPC-DS, ARM)") {
     val c = ClusterProfile.arm
     println("== Fig 15: AP (all parameters) vs IP (important parameters), TPC-DS ==")
-    val ratios = Seq(100.0, 200.0, 300.0, 400.0, 500.0).map { ds =>
+    val ratios = Workloads.datasizesGB.map { ds =>
       val ip = Bench.run("LOCAT", "TPC-DS", c, ds)
       val ap = Bench.run("LOCAT-AP", "TPC-DS", c, ds)
       val ratio = ap.cleanTime / ip.cleanTime

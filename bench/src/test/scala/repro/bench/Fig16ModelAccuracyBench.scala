@@ -1,8 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.{ClusterProfile, SparkClusterSimulator}
-import repro.core.ConfigSpace
+import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
 import repro.ml._
 import repro.stats.Stats
 import scala.util.Random
@@ -15,17 +14,15 @@ class Fig16ModelAccuracyBench extends AnyFunSuite {
 
   test("Fig 16: GBRT builds the most accurate performance model") {
     val c = ClusterProfile.arm
-    val space = ConfigSpace.full(c.armRanges)
+    val space = Bench.space(c)
     println("== Fig 16: mean relative error of performance models ==")
     val perModelErrors = scala.collection.mutable.Map.empty[String, Vector[Double]].withDefaultValue(Vector())
 
-    Seq("TPC-DS", "TPC-H", "Join", "Scan", "Aggregation").foreach { wName =>
+    Workloads.all.map(_.name).foreach { wName =>
       val sim = new SparkClusterSimulator(Bench.workload(wName), c, Bench.Seed)
       val rng = new Random(Bench.Seed)
-      val all = (1 to 150).map { _ =>
-        val conf = space.random(rng)
-        (space.encode(conf), sim.run(conf, 300.0).totalSeconds)
-      }
+      val all = Bench.randomRuns(sim, space, 150, 300.0, rng)
+        .map { case (conf, r) => (space.encode(conf), r.totalSeconds) }
       val (train, test) = all.splitAt(100)
       val tx = train.map(_._1); val ty = train.map(_._2)
       val models: Seq[(String, Array[Double] => Double)] = Seq(

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterProfile, SparkClusterSimulator}
-import repro.core.{ConfigSpace, ConfigValues, Iicp}
+import repro.core.Iicp
 import repro.ml.Gbrt
 import repro.stats.Stats
 import scala.util.Random
@@ -17,19 +17,8 @@ import scala.util.Random
 class Fig17IicpVsGbrtBench extends AnyFunSuite {
 
   private val c = ClusterProfile.arm
-  private val space = ConfigSpace.full(c.armRanges)
+  private val space = Bench.space(c)
   private val topK = 15
-
-  private def sdOfSelected(sim: SparkClusterSimulator, selected: Set[String],
-                           nRuns: Int, rng: Random): Double = {
-    val defaults = space.defaults
-    val times = (1 to nRuns).map { _ =>
-      val r = space.random(rng)
-      val conf = ConfigValues(defaults.values ++ r.values.view.filterKeys(selected).toMap)
-      sim.expectedTotal(conf, 100.0)
-    }
-    Stats.sd(times)
-  }
 
   test("Fig 17: IICP finds more performance-relevant parameters than GBRT at low sample counts") {
     println("== Fig 17: SD of exec times under IICP- vs GBRT-selected parameters ==")
@@ -39,18 +28,15 @@ class Fig17IicpVsGbrtBench extends AnyFunSuite {
       val perSeed = (0 until 3).map { off =>
         val sim = new SparkClusterSimulator(Bench.workload(wName), c, Bench.Seed + off)
         val rng = new Random(Bench.Seed + off)
-        val samples = (1 to 20).map { _ =>
-          val conf = space.random(rng)
-          (conf, sim.run(conf, 100.0).totalSeconds)
-        }
+        val samples = Bench.randomRuns(sim, space, 20, 100.0, rng).map { case (conf, r) => (conf, r.totalSeconds) }
         val iicpSel = Iicp.cps(space, samples).take(topK).map(_._1).toSet
         val gbrt = Gbrt.fit(samples.map(s => space.encode(s._1)), samples.map(s => math.log(s._2)),
           nTrees = 60, maxDepth = 3)
         val gbrtSel = space.names.zip(gbrt.featureImportance)
           .sortBy { case (_, i) => -i }.take(topK).map(_._1).toSet
         Seq(5, 10, 15, 20, 25, 30).map { n =>
-          val sdIicp = sdOfSelected(sim, iicpSel, n, new Random(Bench.Seed + n))
-          val sdGbrt = sdOfSelected(sim, gbrtSel, n, new Random(Bench.Seed + n))
+          val sdIicp = Bench.sdVaryingOnly(sim, space, iicpSel, n, 100.0, new Random(Bench.Seed + n))
+          val sdGbrt = Bench.sdVaryingOnly(sim, space, gbrtSel, n, 100.0, new Random(Bench.Seed + n))
           (n, sdIicp, sdGbrt)
         }
       }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.ClusterProfile
+import repro.cluster.{ClusterProfile, Workloads}
 
 /** Fig 20 — tuning overhead as the input datasize grows (TPC-DS, ARM).
   * LOCAT adapts to datasize changes online (DAGP), so only the first size
@@ -12,7 +12,7 @@ class Fig20OverheadBench extends AnyFunSuite {
 
   test("Fig 20: LOCAT's overhead stays low as datasize grows; SOTA overhead climbs") {
     val c = ClusterProfile.arm
-    val sizes = Seq(100.0, 200.0, 300.0, 400.0, 500.0)
+    val sizes = Workloads.datasizesGB
     val online = Bench.locatOnline("TPC-DS", c)
     println("== Fig 20: tuning overhead (hours) vs input datasize, TPC-DS ==")
     println(f"${"ds(GB)"}%8s ${"LOCAT(online)"}%14s " + Bench.sotaNames.map(t => f"$t%9s").mkString(" "))

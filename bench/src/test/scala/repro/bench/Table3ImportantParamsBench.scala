@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
-import repro.core.{ConfigSpace, Iicp}
+import repro.core.Iicp
 import scala.util.Random
 
 /** Table 3 — top-5 important parameters selected by CPS for TPC-DS at
@@ -24,15 +24,12 @@ class Table3ImportantParamsBench extends AnyFunSuite {
 
   test("Table 3: top-5 CPS parameters for TPC-DS at 100GB/500GB/1TB") {
     val cluster = ClusterProfile.arm
-    val space = ConfigSpace.full(cluster.armRanges)
+    val space = Bench.space(cluster)
     val sim = new SparkClusterSimulator(Workloads.tpcds, cluster, Bench.Seed)
     val rng = new Random(Bench.Seed)
     println("== Table 3: Top-5 important parameters (CPS, N_IICP=20) ==")
     val hits = Seq(100.0, 500.0, 1000.0).map { ds =>
-      val samples = (1 to 20).map { _ =>
-        val c = space.random(rng)
-        (c, sim.run(c, ds).totalSeconds)
-      }
+      val samples = Bench.randomRuns(sim, space, 20, ds, rng).map { case (c, r) => (c, r.totalSeconds) }
       val top5 = Iicp.cps(space, samples).take(5)
       println(s"-- ${ds.toInt} GB   (paper: ${paperTop5(ds).map(_.stripPrefix("spark.")).mkString(", ")})")
       top5.foreach { case (p, scc) => println(f"   $p%-55s SCC=$scc%+.3f") }
@@ -49,7 +46,7 @@ class Table3ImportantParamsBench extends AnyFunSuite {
 
   test("Table 3 (low-noise variant): rankings from 200 samples per datasize") {
     val cluster = ClusterProfile.arm
-    val space = ConfigSpace.full(cluster.armRanges)
+    val space = Bench.space(cluster)
     val sim = new SparkClusterSimulator(Workloads.tpcds, cluster, Bench.Seed)
     val rng = new Random(Bench.Seed + 1)
     Seq(100.0, 500.0, 1000.0).foreach { ds =>

@@ -75,9 +75,10 @@ object EiMcmc {
     /** Each draw's predictive (means, sds) at every point of `xs`, in draw
       * order. A fitted GP that MH repeated (it rejected every move between
       * two draws) is scored once, and one task per (distinct GP, block of
-      * `GaussianProcess.Block` candidates) runs through [[fanOut]]. Every
-      * candidate's prediction keeps its own operation order, so the result
-      * does not depend on the split or the thread count.
+      * `GaussianProcess.Block` candidates) writes its range of that GP's
+      * arrays through [[fanOut]]. Every candidate's prediction keeps its own
+      * operation order, so the result does not depend on the split or the
+      * thread count.
       */
     private def drawMoments(xs: Array[Array[Double]]): Seq[(Array[Double], Array[Double])] = {
       val m = xs.length
@@ -86,11 +87,8 @@ object EiMcmc {
       val moments = distinct.map(_ => (new Array[Double](m), new Array[Double](m)))
       fanOut(m, distinct.size * blocks) { task =>
         val from = task % blocks * Block
-        val until = math.min(m, from + Block)
-        val (bm, bs) = distinct(task / blocks).predictBatch(if (blocks == 1) xs else xs.slice(from, until))
         val (mu, sd) = moments(task / blocks)
-        System.arraycopy(bm, 0, mu, from, until - from)
-        System.arraycopy(bs, 0, sd, from, until - from)
+        distinct(task / blocks).predictInto(xs, from, math.min(m, from + Block), mu, sd)
       }
       gps.map(g => moments(distinct.indexWhere(_ eq g)))
     }
@@ -140,7 +138,7 @@ object EiMcmc {
     * pre-drawn uniform; a chain that drew the uniform after the fit skipped
     * it. Every other draw order is unchanged.
     */
-  def fitMarginalized(kernel: GpKernel, x: Seq[Array[Double]], y: Seq[Double], rng: Random,
+  def fitMarginalized(kernel: GpKernel.Matern52, x: Seq[Array[Double]], y: Seq[Double], rng: Random,
                       nSamples: Int, nBurn: Int, thin: Int = 3): Marginalized = {
     val start = GaussianProcess.defaultLogHypers(kernel, x.head.length)
     val totalSteps = nBurn + nSamples * thin

@@ -10,36 +10,38 @@ import repro.linalg.Mat
   * `log σn` (observation noise) appended last.
   */
 final class GaussianProcess private (
-    val kernel: GpKernel,
+    val kernel: GpKernel.Matern52,
     val x: Array[Array[Double]],
     val yRaw: Array[Double],
     val logHypers: Array[Double], // kernel hypers ++ [log noise]
     k: GpKernel.Prepared,
     chol: Mat,
     alpha: Array[Double],
+    yStdz: Array[Double],
     yMean: Double,
     yStd: Double,
 ) {
   private val n = x.length
   private val d = x(0).length
 
-  /** Predictive means and standard deviations at every point of `xs`, on the
-    * raw target scale (GPML Alg. 2.1). Candidates are scored in blocks of up
-    * to 64, candidate-major: k*, k*ᵀα and the forward substitution L·v = k*
+  /** Predictive means and standard deviations of `xs(from until until)`,
+    * on the raw target scale (GPML Alg. 2.1), written to the same indices
+    * of `mu` and `sd`. Candidates are scored in blocks of up to `Block`,
+    * candidate-major: k*, k*ᵀα and the forward substitution L·v = k*
     * advance one training row at a time for the whole block. Each candidate
     * keeps the one-candidate operation order (`Mat.solveLower`'s), so its
-    * prediction does not depend on the batch it is scored in.
+    * prediction does not depend on the block it is scored in. The prior
+    * variance k(x, x) is σf² = k.atSqDist(0.0) for every finite candidate; a
+    * non-finite one still ends in NaN through its k* row.
     */
-  def predictBatch(xs: Array[Array[Double]]): (Array[Double], Array[Double]) = {
-    val m = xs.length
-    var c = 0
-    while (c < m) {
+  private[gp] def predictInto(xs: Array[Array[Double]], from: Int, until: Int,
+                              mu: Array[Double], sd: Array[Double]): Unit = {
+    var c = from
+    while (c < until) {
       require(xs(c).length == d, s"candidate $c has ${xs(c).length} coordinates, the GP was fit on $d")
       c += 1
     }
-    val mu = new Array[Double](m)
-    val sd = new Array[Double](m)
-    val bs = math.min(GaussianProcess.Block, m)
+    val bs = math.min(GaussianProcess.Block, until - from)
     // One array per coordinate (xt) and per training row (v), indexed by the
     // candidate's place in the block: every inner loop over c then indexes
     // all its arrays by c alone, the shape C2 vectorizes.
@@ -53,30 +55,23 @@ final class GaussianProcess private (
     val s = new Array[Double](bs)
     val kAlpha = new Array[Double](bs)
     val kss = new Array[Double](bs)
+    val prior = k.atSqDist(0.0)
     val l = chol.data
-    var start = 0
-    while (start < m) {
-      val mb = math.min(bs, m - start)
+    var start = from
+    while (start < until) {
+      val mb = math.min(bs, until - start)
       c = 0
       while (c < mb) {
         val xc = xs(start + c)
         t = 0
         while (t < d) { xt(t)(c) = xc(t); t += 1 }
         kAlpha(c) = 0.0
-        kss(c) = k(xc, xc)
+        kss(c) = prior
         c += 1
       }
       i = 0
       while (i < n) {
-        val xi = x(i)
-        java.util.Arrays.fill(r2, 0.0)
-        t = 0
-        while (t < d) {
-          val xtt = xt(t); val xit = xi(t); val lt = k.lengthscale(t)
-          c = 0
-          while (c < mb) { val dt = (xtt(c) - xit) / lt; r2(c) += dt * dt; c += 1 }
-          t += 1
-        }
+        k.sqDistRow(x(i), xt, 0, mb, r2)
         val ai = alpha(i)
         c = 0
         while (c < mb) { val ki = k.atSqDist(r2(c)); kAlpha(c) += ki * ai; s(c) = ki; c += 1 }
@@ -101,13 +96,11 @@ final class GaussianProcess private (
       }
       start += mb
     }
-    (mu, sd)
   }
 
   /** Log marginal likelihood of the (standardized) training data. */
   def logMarginalLikelihood: Double = {
     var quad = 0.0
-    val yStdz = yRaw.map(v => (v - yMean) / yStd)
     var i = 0
     while (i < n) { quad += yStdz(i) * alpha(i); i += 1 }
     var logDet = 0.0
@@ -121,7 +114,8 @@ object GaussianProcess {
   /** Fit a GP with the given log-hyperparameters. Adds jitter on Cholesky
     * failure (up to 6 escalations) before giving up.
     */
-  def fit(kernel: GpKernel, x: Seq[Array[Double]], y: Seq[Double], logHypers: Array[Double]): GaussianProcess = {
+  def fit(kernel: GpKernel.Matern52, x: Seq[Array[Double]], y: Seq[Double],
+          logHypers: Array[Double]): GaussianProcess = {
     require(x.nonEmpty && x.size == y.size, "GP needs equal non-empty x/y")
     val n = x.size
     val xa = x.toArray
@@ -137,9 +131,8 @@ object GaussianProcess {
     val noise2 = math.exp(2.0 * logHypers.last)
     val k = kernel.at(logHypers)
 
-    // Upper triangle row by row from the transposed training set, so the
-    // loop over j ≥ i indexes xt(t) and r2 by j alone; the operands keep
-    // k(x_i, x_j)'s order, (x_i(t) − x_j(t)) / ℓ_t.
+    // Upper triangle row by row from the transposed training set: row i
+    // holds r2(j) for j ≥ i
     val xt = new Array[Array[Double]](d)
     var t = 0
     while (t < d) {
@@ -153,15 +146,7 @@ object GaussianProcess {
     val r2 = new Array[Double](n)
     var i = 0
     while (i < n) {
-      val xi = xa(i)
-      java.util.Arrays.fill(r2, i, n, 0.0)
-      t = 0
-      while (t < d) {
-        val xtt = xt(t); val xit = xi(t); val lt = k.lengthscale(t)
-        var j = i
-        while (j < n) { val dt = (xit - xtt(j)) / lt; r2(j) += dt * dt; j += 1 }
-        t += 1
-      }
+      k.sqDistRow(xa(i), xt, i, n, r2)
       var j = i
       while (j < n) { val v = k.atSqDist(r2(j)); gram(i, j) = v; gram(j, i) = v; j += 1 }
       i += 1
@@ -176,7 +161,7 @@ object GaussianProcess {
       try {
         val l = Mat.cholesky(a)
         val alpha = Mat.choleskySolve(l, yStdz)
-        result = new GaussianProcess(kernel, xa, ya, logHypers.clone(), k, l, alpha, yMean, yStd)
+        result = new GaussianProcess(kernel, xa, ya, logHypers.clone(), k, l, alpha, yStdz, yMean, yStd)
       } catch {
         case _: IllegalArgumentException if attempt < 6 =>
           jitter *= 100.0; attempt += 1
@@ -187,13 +172,13 @@ object GaussianProcess {
     result
   }
 
-  /** Candidates per scoring block of [[GaussianProcess.predictBatch]]. */
+  /** Candidates per scoring block of [[GaussianProcess.predictInto]]. */
   private[gp] val Block = 64
 
   /** Sensible default log-hypers: unit signal, lengthscale 0.3 (inputs are in
     * [0,1]), noise 0.1 — the MCMC marginalization starts from here.
     */
-  def defaultLogHypers(kernel: GpKernel, d: Int): Array[Double] = {
+  def defaultLogHypers(kernel: GpKernel.Matern52, d: Int): Array[Double] = {
     val kh = kernel.nHypers(d)
     val h = new Array[Double](kh + 1)
     h(0) = 0.0 // log σf = 0

@@ -64,7 +64,11 @@ final class LogisticRegressionModel private (
 }
 
 object LogisticRegressionModel {
-  def fit(x: Seq[Array[Double]], y: Seq[Double], epochs: Int = 300, lr: Double = 0.5): LogisticRegressionModel = {
+  /** Full-batch gradient-descent epochs and step size. */
+  private val Epochs = 300
+  private val Lr = 0.5
+
+  def fit(x: Seq[Array[Double]], y: Seq[Double]): LogisticRegressionModel = {
     require(x.size == y.size && x.nonEmpty, "lr needs equal non-empty x/y")
     val median = y.sorted.apply(y.size / 2)
     val labels = y.map(v => if (v > median) 1.0 else 0.0)
@@ -76,7 +80,7 @@ object LogisticRegressionModel {
     val w = new Array[Double](d)
     var b = 0.0
     var e = 0
-    while (e < epochs) {
+    while (e < Epochs) {
       val gw = new Array[Double](d)
       var gb = 0.0
       x.indices.foreach { i =>
@@ -89,8 +93,8 @@ object LogisticRegressionModel {
         gb += err
       }
       var j = 0
-      while (j < d) { w(j) -= lr * gw(j) / x.size; j += 1 }
-      b -= lr * gb / x.size
+      while (j < d) { w(j) -= Lr * gw(j) / x.size; j += 1 }
+      b -= Lr * gb / x.size
       e += 1
     }
     new LogisticRegressionModel(w, b, loMean, hiMean)

@@ -204,6 +204,22 @@ class BaselinesSpec extends AnyFunSuite {
       50.47280278935142, 41.72179378229026, 41.6108368075748, 38.49029133442764))
   }
 
+  test("golden: a BoSearch run whose window passes 32 points keeps its recorded trial costs") {
+    // 43 trials: from the 32nd on, every MH chain runs prefetched
+    val obj = TestObjectives.synthetic(25)
+    val log = new TrialLog(obj)
+    BoSearch.run(log, obj.space, 100.0, new Random(25), nInit = 3, nIter = 40)
+    assert(log.trials.map(_.costSeconds) == Seq(98.18289692823838, 61.815887621569644, 28.624623117674666,
+      30.508245642466207, 24.563854638582338, 22.391683415422584, 24.478662023581773, 25.89808726646038,
+      21.94494596321698, 23.198508925813627, 22.61760737445517, 22.665924465303156, 24.631794581802012,
+      22.605239707832027, 22.85048506213989, 24.56589409948777, 62.68921441554349, 22.084943347650366,
+      24.406831227321252, 21.754525184819542, 22.030272003930023, 21.933951867195802, 22.394458482787215,
+      23.523214278241475, 22.91242096096849, 22.30104912874515, 22.076028420525688, 22.286150652720714,
+      22.474955265644077, 22.45138855774166, 22.286851603048763, 22.165052577444307, 21.91427551937474,
+      22.358550777949866, 21.89306130846382, 22.64694910424489, 21.892174512667943, 22.33453652137395,
+      22.427937647999002, 22.109764906801942, 21.938087760744164, 21.98328998350189, 22.106263717273038))
+  }
+
   test("golden: Tuneful trial costs equal those recorded before GBRT presorting") {
     val obj = TestObjectives.synthetic(24)
     val r = new Tuneful(saRounds = 1, samplesPerRound = 10, keepParams = 3, boIters = 4).tune(obj, obj.space, 100.0, 24)

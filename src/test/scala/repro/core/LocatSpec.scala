@@ -116,6 +116,25 @@ class LocatSpec extends AnyFunSuite {
     assert(session.cumulativeOptimizationSeconds == 580.3450692074074)
   }
 
+  test("golden: a session whose RQA window passes 32 points keeps its recorded configuration and costs") {
+    // 15 full runs + 20 RQA iterations: the last RQA steps' MH chains run prefetched
+    val obj = freshObjective(26)
+    val r = new LocatSession(obj, obj.space, seed = 26, nQcsa = 15, nIicp = 12, minIter = 20, maxIter = 20)
+      .tuneInitial(100.0)
+    assert(r.bestConf.values == Map("knob.one" -> 100.0, "knob.two" -> 0.002544141787339499, "noise.a" -> 9.0,
+      "noise.b" -> 0.4432824226680042, "noise.c" -> 0.0, "noise.d" -> 179.0))
+    assert(r.trials.map(_.costSeconds) == Seq(50.23021322386306, 23.882111492437993, 89.59648044806137,
+      23.108031224038463, 23.40677584004144, 23.448740786337645, 23.116198995228753, 22.405593566451095,
+      21.804215550504402, 22.01635162168936, 23.603383405283047, 22.34136569999493, 22.134612027071675,
+      22.10733895972063, 26.270389867664584, 15.659451840588627, 18.58595753857435, 12.776068204629414,
+      18.682884644413416, 13.316894812146877, 11.186959423790645, 11.381269562298336, 13.716153476190101,
+      13.011416551939739, 12.875920824464451, 11.955716388412565, 12.191306000446428, 14.154028585905387,
+      12.236649889957144, 25.9457426195272, 12.342898845748575, 16.631437175507678, 16.473819353688864,
+      12.842373346055908, 13.30666156894649, 22.086169166934344))
+    assert(r.optimizationSeconds == 750.8315825285551)
+    assert(r.bestTimeSeconds == 22.086169166934344)
+  }
+
   test("tuneInitial can only run once; tuneNext requires tuneInitial") {
     val obj = freshObjective(8)
     val s1 = new LocatSession(obj, obj.space, seed = 8, nQcsa = 15, nIicp = 12, minIter = 3, maxIter = 5)

@@ -200,7 +200,7 @@ class MlSpec extends AnyFunSuite {
     val rng = new Random(7)
     val xs = Seq.fill(200)(Array(rng.nextDouble()))
     val ys = xs.map(x => if (x(0) > 0.5) 100.0 else 10.0)
-    val m = LogisticRegressionModel.fit(xs, ys, epochs = 500, lr = 1.0)
+    val m = LogisticRegressionModel.fit(xs, ys)
     assert(m.predictProb(Array(0.9)) > 0.7)
     assert(m.predictProb(Array(0.1)) < 0.3)
     assert(m.predict(Array(0.9)) > m.predict(Array(0.1)))

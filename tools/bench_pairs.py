@@ -28,6 +28,10 @@ both are 0), so a last-bit change reads as ~1e-16, and a verdict:
   interquartile range over the parent's median), unless every change run
   beats every parent run;
 - "within bound" otherwise.
+
+The file also records what it compared: under `checkouts`, each side's path,
+its HEAD commit and whether `git status` listed uncommitted changes (both
+null for a directory outside git).
 """
 
 import argparse
@@ -111,6 +115,18 @@ def parse_seeds(text):
     return seeds
 
 
+def checkout_info(path):
+    """A checkout's path, HEAD commit and whether `git status` lists changes."""
+    def git(*argv):
+        proc = subprocess.run(["git", "-C", path] + list(argv), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True)
+        return proc.stdout if proc.returncode == 0 else None
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain")
+    return {"path": path, "commit": commit.strip() if commit else None,
+            "dirty": bool(status.strip()) if status is not None else None}
+
+
 def run_once(checkout, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -150,7 +166,9 @@ def main():
     doc = {"what": args.what or "perfbench end-to-end runs, parent vs change, alternating order per seed "
                                   "(odd seeds parent first), --seconds %d --trace 0" % seconds,
            "command": "python3 perfbench/run.py --workload W --seed S --seconds %d --trace 0" % seconds,
-           "claim": args.claim, "summary": {}, "runs": []}
+           "claim": args.claim,
+           "checkouts": {side: checkout_info(path) for side, path in checkouts.items()},
+           "summary": {}, "runs": []}
 
     def save():
         doc["summary"] = summarize(doc["runs"], spec["end_to_end"])

@@ -4,7 +4,9 @@ Run from the repository root: python3 -m unittest tools/test_bench_pairs.py
 """
 
 import os
+import subprocess
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -100,6 +102,22 @@ class SummaryTest(unittest.TestCase):
         self.assertEqual(s["failed"], 2)
         self.assertEqual(s["attempted"], 70)
         self.assertEqual(s["runs_without_result"], 1)
+
+    def test_checkout_info_names_the_commit_and_says_whether_the_tree_is_dirty(self):
+        with tempfile.TemporaryDirectory() as repo:
+            def git(*argv):
+                return subprocess.run(["git", "-C", repo, "-c", "user.name=t", "-c", "user.email=t@t"] + list(argv),
+                                      check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+            git("init", "-q")
+            with open(os.path.join(repo, "f.txt"), "w") as fh:
+                fh.write("one\n")
+            git("add", "f.txt")
+            git("commit", "-q", "-m", "one")
+            head = git("rev-parse", "HEAD")
+            self.assertEqual(bench_pairs.checkout_info(repo), {"path": repo, "commit": head, "dirty": False})
+            with open(os.path.join(repo, "f.txt"), "w") as fh:
+                fh.write("two\n")
+            self.assertEqual(bench_pairs.checkout_info(repo), {"path": repo, "commit": head, "dirty": True})
 
     def test_seed_ranges(self):
         self.assertEqual(bench_pairs.parse_seeds("11-14"), [11, 12, 13, 14])
