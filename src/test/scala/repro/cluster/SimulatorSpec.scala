@@ -202,4 +202,57 @@ class SimulatorSpec extends AnyFunSuite {
   test("invalid datasize is rejected") {
     intercept[IllegalArgumentException] { sim().expectedTotal(goodConf, 0.0) }
   }
+
+  test("an unknown query id in a subset is rejected") {
+    intercept[NoSuchElementException] { sim().run(goodConf, 100.0, Some(Seq("Q72", "Q999"))) }
+  }
+
+  /** Noise-free per-query times and GC seconds of the whole application. */
+  private def expectedRun(s: SparkClusterSimulator, conf: ConfigValues, ds: Double): (Map[String, Double], Double) =
+    (s.expectedPerQuery(conf, ds), s.expectedGc(conf, ds))
+
+  test("golden: runs, expected times and GC equal those recorded before the one-pass evaluation") {
+    // SHA-256 of the raw bits of three consecutive runs (full application,
+    // RQA subset, full again), the expected total, every expected per-query
+    // time and the expected GC seconds, per (workload, cluster, datasize)
+    val golden = Map(
+      ("TPC-DS", "ARM-4node", 100.0) ->
+        "b5db5e7c6a35403145c9fbd54f699b07b3dcbdcd2d71bc065bdc396ec101e04e",
+      ("TPC-DS", "ARM-4node", 500.0) ->
+        "1a9955e123fe063492e6a9093766afb6c8063ff7f06a836419214c6903cabd0e",
+      ("TPC-DS", "x86-8node", 100.0) ->
+        "900f2c3f5f1375dd4c052f8f7f674883d06334afca2f1f81c75be56ebb17890c",
+      ("TPC-DS", "x86-8node", 500.0) ->
+        "1d89f65f710ee4ee59c09aa543fb898865cf1fb0f66dee261c0fcd9211f9ad51",
+      ("Join", "ARM-4node", 100.0) ->
+        "25dbdbacdf408956b00bf8db39070498f193dee07418486381de04ba0d58477f",
+      ("Join", "ARM-4node", 500.0) ->
+        "be62f920acd928cb9d799e1f0f33cd79af14441a1b7cf2608645f45708f02b9e",
+      ("Join", "x86-8node", 100.0) ->
+        "5f7cb610d14d83d9de5ed7ab49729f6e5cb08350469f97503ea632a5ca88cefe",
+      ("Join", "x86-8node", 500.0) ->
+        "f092776d53e5af3aee0c16386de63d8aaafa3ad3588ec56fdfbab18982eb386d")
+    val cases = for {
+      w <- Seq(Workloads.tpcds, Workloads.hibenchJoin)
+      c <- Seq(ClusterProfile.arm, ClusterProfile.x86)
+      ds <- Seq(100.0, 500.0)
+    } yield (w, c, ds)
+    val got = cases.zipWithIndex.map { case ((w, c, ds), i) =>
+      val s = sim(w, c, seed = 3L + i)
+      val conf = ConfigSpace.full(c.armRanges).random(new Random(i))
+      val rqa = if (w == Workloads.tpcds) Workloads.tpcdsCsq else w.queryIds
+      val bits = Seq.newBuilder[Double]
+      for (subset <- Seq(None, Some(rqa), None)) {
+        val r = s.run(conf, ds, subset)
+        bits ++= subset.getOrElse(w.queryIds).map(r.perQuerySeconds) += r.gcSeconds += r.totalSeconds
+      }
+      val (perQuery, gc) = expectedRun(s, conf, ds)
+      bits += s.expectedTotal(conf, ds)
+      bits ++= w.queryIds.map(perQuery) += gc
+      val md = java.security.MessageDigest.getInstance("SHA-256")
+      bits.result().foreach(v => md.update(java.nio.ByteBuffer.allocate(8).putLong(java.lang.Double.doubleToRawLongBits(v)).array()))
+      (w.name, c.name, ds) -> md.digest().map(b => f"$b%02x").mkString
+    }.toMap
+    assert(got == golden)
+  }
 }
