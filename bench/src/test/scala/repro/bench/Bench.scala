@@ -63,9 +63,10 @@ object Bench {
       val w = workload(workloadName)
       val sim = new SparkClusterSimulator(w, c, Seed)
       val r = tuner(tunerName, c).tune(sim, space(c), ds, Seed)
+      val cleanTime = sim.expectedTotal(r.bestConf, ds)
       Console.err.println(f"[bench] $tunerName%-18s $workloadName%-11s ${c.name}%-9s ${ds.toInt}%4dGB " +
-        f"opt=${r.optimizationSeconds / 3600.0}%7.2fh best=${sim.expectedTotal(r.bestConf, ds)}%8.1fs")
-      Cell(r, sim.expectedTotal(r.bestConf, ds), sim.expectedGc(r.bestConf, ds))
+        f"opt=${r.optimizationSeconds / 3600.0}%7.2fh best=$cleanTime%8.1fs")
+      Cell(r, cleanTime, sim.expected(r.bestConf, ds).gcSeconds)
     })
 
   // LOCAT online sessions (Fig 20): initial tune at 100 GB, continuations after.

@@ -18,9 +18,9 @@ class Fig18GcCsqBench extends AnyFunSuite {
     Seq(100.0, 300.0, 500.0).foreach { ds =>
       val sim = new SparkClusterSimulator(Bench.workload("TPC-DS"), c, Bench.Seed)
       val defConf = ConfigSpace.full(true).defaults
-      val perDef = sim.expectedPerQuery(defConf, ds)
+      val perDef = sim.expected(defConf, ds).perQuerySeconds
       val locat = Bench.run("LOCAT", "TPC-DS", c, ds)
-      val perTuned = sim.expectedPerQuery(locat.result.bestConf, ds)
+      val perTuned = sim.expected(locat.result.bestConf, ds).perQuerySeconds
       def split(m: Map[String, Double]) = (m.filter(kv => csq(kv._1)).values.sum,
         m.filterNot(kv => csq(kv._1)).values.sum)
       val (csqDef, ciqDef) = split(perDef)

@@ -40,7 +40,8 @@ final case class QueryProfile(
 
 /** A named application: an ordered list of query profiles. */
 final case class SimWorkload(name: String, profiles: Seq[QueryProfile]) {
-  def queryIds: Seq[String] = profiles.map(_.id)
+  val queryIds: Seq[String] = profiles.map(_.id)
+  private val byId = profiles.map(q => q.id -> q).toMap
   def profile(id: String): QueryProfile =
-    profiles.find(_.id == id).getOrElse(throw new NoSuchElementException(s"no query $id in $name"))
+    byId.getOrElse(id, throw new NoSuchElementException(s"no query $id in $name"))
 }

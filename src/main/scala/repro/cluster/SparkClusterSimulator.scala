@@ -22,8 +22,8 @@ import repro.stats.Rng
   *  - multiplicative lognormal noise, deterministic in the constructor seed
   *    and call order.
   *
-  * `run` returns noisy observations (what tuners see); `expected*` return the
-  * noise-free model value (used to compare tuners' final configurations).
+  * `run` returns noisy observations (what tuners see); `expected` is the same
+  * run of the whole application without noise (to compare final configurations).
   */
 final class SparkClusterSimulator(
     val workload: SimWorkload,
@@ -40,33 +40,37 @@ final class SparkClusterSimulator(
   override def run(conf: ConfigValues, datasizeGB: Double, subset: Option[Seq[String]] = None): ExecResult = {
     calls += 1
     val rng = Rng(seed * 1000003L + calls * 7919L)
-    val ids = subset.getOrElse(workload.queryIds)
+    val profiles = subset.fold(workload.profiles)(_.map(workload.profile))
     // Noise has a run-wide common component (cluster state: co-tenancy,
     // page cache, JIT, GC phase) that does NOT average out across queries —
     // this is what makes argmin-over-noisy-totals (every SOTA tuner's final
     // pick) overconfident — plus a per-query component that grows with the
     // query's shuffle intensity (stragglers, spills, fetch retries).
     val common = math.exp(rng.nextGaussian() * 0.10)
-    val times = ids.map(id => queryTime(workload.profile(id), conf, datasizeGB))
-    val perQuery = ids.zip(times).map { case (id, (t, _)) =>
-      val q = workload.profile(id)
+    val times = evaluate(conf, datasizeGB, profiles)
+    val perQuery = profiles.zip(times).map { case (q, (t, _)) =>
       val idioSd = 0.04 + 0.12 * (1.0 - math.exp(-4.0 * q.shuffleGBPerGB))
-      id -> t * common * math.exp(rng.nextGaussian() * idioSd)
+      q.id -> t * common * math.exp(rng.nextGaussian() * idioSd)
     }.toMap
     ExecResult(perQuery, times.map(_._2).sum * common)
   }
 
-  /** Noise-free total time of the application. */
+  /** Noise-free run of the whole application: per-query times and GC seconds. */
+  def expected(conf: ConfigValues, datasizeGB: Double): ExecResult = {
+    val times = evaluate(conf, datasizeGB, workload.profiles)
+    ExecResult(workload.queryIds.zip(times.map(_._1)).toMap, times.map(_._2).sum)
+  }
+
+  /** Noise-free total time of the application, summed in query order. */
   def expectedTotal(conf: ConfigValues, datasizeGB: Double): Double =
-    workload.queryIds.map(id => queryTime(workload.profile(id), conf, datasizeGB)._1).sum
+    evaluate(conf, datasizeGB, workload.profiles).map(_._1).sum
 
-  /** Noise-free per-query times. */
-  def expectedPerQuery(conf: ConfigValues, datasizeGB: Double): Map[String, Double] =
-    workload.queryIds.map(id => id -> queryTime(workload.profile(id), conf, datasizeGB)._1).toMap
-
-  /** Noise-free total GC seconds. */
-  def expectedGc(conf: ConfigValues, datasizeGB: Double): Double =
-    workload.queryIds.map(id => queryTime(workload.profile(id), conf, datasizeGB)._2).sum
+  /** (seconds, GC seconds) of each of `profiles` under one executor grant. */
+  private def evaluate(conf: ConfigValues, ds: Double, profiles: Seq[QueryProfile]): Seq[(Double, Double)] = {
+    require(ds > 0, "datasize must be positive")
+    val r = resources(conf)
+    profiles.map(queryTime(_, r, conf, ds))
+  }
 
   // ---------------------------------------------------------------- model --
 
@@ -97,16 +101,10 @@ final class SparkClusterSimulator(
     Resources(execs, cores, execs * cores, memGB, overheadGB, offHeapGB)
   }
 
-  /** (expected seconds, gc seconds) for one query. */
-  def queryTime(q: QueryProfile, conf: ConfigValues, ds: Double): (Double, Double) = {
-    require(ds > 0, "datasize must be positive")
-    val r = resources(conf)
-    val execs = r.execs
-    val slots = r.slots
-    val execCores = r.coresPerExec
-    val execMemGB = r.execMemGB
+  /** (expected seconds, gc seconds) for one query under the grant `r`. */
+  private def queryTime(q: QueryProfile, r: Resources, conf: ConfigValues, ds: Double): (Double, Double) = {
+    val Resources(execs, execCores, slots, execMemGB, _, offHeapGB) = r
     val offHeapEnabled = conf.bool("spark.memory.offHeap.enabled")
-    val offHeapGB = r.offHeapGB
     val memFraction = conf("spark.memory.fraction")
     val storageFraction = conf("spark.memory.storageFraction")
 

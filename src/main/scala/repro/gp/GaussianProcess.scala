@@ -38,7 +38,8 @@ final class GaussianProcess private (
                               mu: Array[Double], sd: Array[Double]): Unit = {
     var c = from
     while (c < until) {
-      require(xs(c).length == d, s"candidate $c has ${xs(c).length} coordinates, the GP was fit on $d")
+      if (xs(c).length != d)
+        throw new IllegalArgumentException(s"requirement failed: candidate $c has ${xs(c).length} coordinates, the GP was fit on $d")
       c += 1
     }
     val bs = math.min(GaussianProcess.Block, until - from)

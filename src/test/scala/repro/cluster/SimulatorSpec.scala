@@ -43,17 +43,18 @@ class SimulatorSpec extends AnyFunSuite {
   test("execution time grows with datasize for every query category") {
     val s = sim()
     for (q <- Seq("Q72", "Q09", "Q04")) {
-      val t100 = s.expectedPerQuery(goodConf, 100.0)(q)
-      val t500 = s.expectedPerQuery(goodConf, 500.0)(q)
+      val t100 = s.expected(goodConf, 100.0).perQuerySeconds(q)
+      val t500 = s.expected(goodConf, 500.0).perQuerySeconds(q)
       assert(t500 > t100, s"$q: $t100 -> $t500")
     }
   }
 
-  test("run() is noisy but expected*() is deterministic") {
+  test("run() is noisy but expected() is deterministic") {
     val s1 = sim(seed = 5)
     val a = s1.run(goodConf, 100.0).totalSeconds
     val b = s1.run(goodConf, 100.0).totalSeconds
     assert(a != b) // noise differs call to call
+    assert(sim(seed = 9).expected(goodConf, 100.0) == sim(seed = 5).expected(goodConf, 100.0))
     assert(sim(seed = 9).expectedTotal(goodConf, 100.0) == sim(seed = 5).expectedTotal(goodConf, 100.0))
   }
 
@@ -73,7 +74,7 @@ class SimulatorSpec extends AnyFunSuite {
   test("selection queries are near-insensitive, Q72 is highly sensitive") {
     val s = sim()
     val rng = new Random(11)
-    val runs = (0 until 25).map(_ => s.expectedPerQuery(armSpace.random(rng), 100.0))
+    val runs = (0 until 25).map(_ => s.expected(armSpace.random(rng), 100.0).perQuerySeconds)
     def cv(q: String) = repro.stats.Stats.cv(runs.map(_(q)))
     assert(cv("Q72") > 5 * cv("Q09"), s"Q72=${cv("Q72")} Q09=${cv("Q09")}")
     assert(cv("Q72") > 5 * cv("Q04"), s"Q04=${cv("Q04")} should be insensitive though long")
@@ -81,7 +82,7 @@ class SimulatorSpec extends AnyFunSuite {
 
   test("Q04 is long despite being insensitive (paper §5.2)") {
     val s = sim()
-    val t = s.expectedPerQuery(goodConf, 100.0)
+    val t = s.expected(goodConf, 100.0).perQuerySeconds
     assert(t("Q04") > 50.0, s"Q04=${t("Q04")}")
     val medianAll = t.values.toSeq.sorted.apply(t.size / 2)
     assert(t("Q04") > medianAll * 2)
@@ -101,8 +102,9 @@ class SimulatorSpec extends AnyFunSuite {
     val s = sim()
     val on = goodConf.updated("spark.shuffle.compress", 1.0)
     val off = goodConf.updated("spark.shuffle.compress", 0.0)
-    val q72gain = s.expectedPerQuery(off, 300.0)("Q72") / s.expectedPerQuery(on, 300.0)("Q72")
-    val q09gain = s.expectedPerQuery(off, 300.0)("Q09") / s.expectedPerQuery(on, 300.0)("Q09")
+    val (tOff, tOn) = (s.expected(off, 300.0).perQuerySeconds, s.expected(on, 300.0).perQuerySeconds)
+    val q72gain = tOff("Q72") / tOn("Q72")
+    val q09gain = tOff("Q09") / tOn("Q09")
     assert(q72gain > 1.15, s"q72gain=$q72gain")
     assert(q09gain < 1.02, s"q09gain=$q09gain")
   }
@@ -112,7 +114,7 @@ class SimulatorSpec extends AnyFunSuite {
     val few = goodConf.updated("spark.sql.shuffle.partitions", 100)
       .updated("spark.executor.memory", 4).updated("spark.memory.offHeap.enabled", 0.0)
     val many = few.updated("spark.sql.shuffle.partitions", 1000)
-    assert(s.expectedPerQuery(few, 500.0)("Q72") > 1.2 * s.expectedPerQuery(many, 500.0)("Q72"))
+    assert(s.expected(few, 500.0).perQuerySeconds("Q72") > 1.2 * s.expected(many, 500.0).perQuerySeconds("Q72"))
   }
 
   test("broadcast threshold above the dim table size speeds up broadcast-able joins") {
@@ -120,7 +122,7 @@ class SimulatorSpec extends AnyFunSuite {
     val q = Workloads.tpcds.profiles.find(p => p.dimTableMB > 0 && p.shuffleGBPerGB > 0.05).get
     val below = goodConf.updated("spark.sql.autoBroadcastJoinThreshold", 1024) // 1 MB
     val above = goodConf.updated("spark.sql.autoBroadcastJoinThreshold", 8192) // 8 MB
-    assert(s.expectedPerQuery(above, 300.0)(q.id) < s.expectedPerQuery(below, 300.0)(q.id))
+    assert(s.expected(above, 300.0).perQuerySeconds(q.id) < s.expected(below, 300.0).perQuerySeconds(q.id))
   }
 
   test("feasibility repair (§5.12): memory scales down so requested executors always fit") {
@@ -158,17 +160,17 @@ class SimulatorSpec extends AnyFunSuite {
       .updated("spark.executor.instances", 48).updated("spark.memory.offHeap.enabled", 0.0)
     val relieved = starved.updated("spark.memory.offHeap.enabled", 1.0)
       .updated("spark.memory.offHeap.size", 16384)
-    val gcStarved = s.expectedGc(starved, 500.0)
-    val gcGood = s.expectedGc(goodConf, 500.0)
-    val gcRelieved = s.expectedGc(relieved, 500.0)
+    val gcStarved = s.expected(starved, 500.0).gcSeconds
+    val gcGood = s.expected(goodConf, 500.0).gcSeconds
+    val gcRelieved = s.expected(relieved, 500.0).gcSeconds
     assert(gcStarved > gcGood, s"starved=$gcStarved good=$gcGood")
     assert(gcRelieved < gcStarved, s"relieved=$gcRelieved starved=$gcStarved")
   }
 
   test("GC pressure grows with datasize under a fixed config (paper §5.8)") {
     val s = sim()
-    val gcShare100 = s.expectedGc(goodConf, 100.0) / s.expectedTotal(goodConf, 100.0)
-    val gcShare500 = s.expectedGc(goodConf, 500.0) / s.expectedTotal(goodConf, 500.0)
+    val gcShare100 = s.expected(goodConf, 100.0).gcSeconds / s.expectedTotal(goodConf, 100.0)
+    val gcShare500 = s.expected(goodConf, 500.0).gcSeconds / s.expectedTotal(goodConf, 500.0)
     assert(gcShare500 > gcShare100)
   }
 
@@ -207,10 +209,6 @@ class SimulatorSpec extends AnyFunSuite {
     intercept[NoSuchElementException] { sim().run(goodConf, 100.0, Some(Seq("Q72", "Q999"))) }
   }
 
-  /** Noise-free per-query times and GC seconds of the whole application. */
-  private def expectedRun(s: SparkClusterSimulator, conf: ConfigValues, ds: Double): (Map[String, Double], Double) =
-    (s.expectedPerQuery(conf, ds), s.expectedGc(conf, ds))
-
   test("golden: runs, expected times and GC equal those recorded before the one-pass evaluation") {
     // SHA-256 of the raw bits of three consecutive runs (full application,
     // RQA subset, full again), the expected total, every expected per-query
@@ -246,9 +244,9 @@ class SimulatorSpec extends AnyFunSuite {
         val r = s.run(conf, ds, subset)
         bits ++= subset.getOrElse(w.queryIds).map(r.perQuerySeconds) += r.gcSeconds += r.totalSeconds
       }
-      val (perQuery, gc) = expectedRun(s, conf, ds)
+      val e = s.expected(conf, ds)
       bits += s.expectedTotal(conf, ds)
-      bits ++= w.queryIds.map(perQuery) += gc
+      bits ++= w.queryIds.map(e.perQuerySeconds) += e.gcSeconds
       val md = java.security.MessageDigest.getInstance("SHA-256")
       bits.result().foreach(v => md.update(java.nio.ByteBuffer.allocate(8).putLong(java.lang.Double.doubleToRawLongBits(v)).array()))
       (w.name, c.name, ds) -> md.digest().map(b => f"$b%02x").mkString
