@@ -104,7 +104,6 @@ final class SparkClusterSimulator(
   /** (expected seconds, gc seconds) for one query under the grant `r`. */
   private def queryTime(q: QueryProfile, r: Resources, conf: ConfigValues, ds: Double): (Double, Double) = {
     val Resources(execs, execCores, slots, execMemGB, _, offHeapGB) = r
-    val offHeapEnabled = conf.bool("spark.memory.offHeap.enabled")
     val memFraction = conf("spark.memory.fraction")
     val storageFraction = conf("spark.memory.storageFraction")
 
@@ -169,10 +168,8 @@ final class SparkClusterSimulator(
     val workingSetGB = q.memGBPerGB * ds
     val onHeapAvailGB = execs * execMemGB * memFraction
     var pressure = workingSetGB / math.max(onHeapAvailGB, 0.1)
-    if (offHeapEnabled && workingSetGB > 0) {
-      val relief = math.min(0.6, execs * offHeapGB / math.max(workingSetGB, 0.1))
-      pressure *= (1.0 - relief)
-    }
+    // the grant's off-heap memory is 0 unless spark.memory.offHeap.enabled
+    if (workingSetGB > 0) pressure *= 1.0 - math.min(0.6, execs * offHeapGB / math.max(workingSetGB, 0.1))
     val bigHeapPenalty = math.max(0.0, execMemGB - 32.0) * 0.004
     val gcFrac = 0.03 + 0.8 * sigmoid(4.0 * (pressure - 0.6)) + bigHeapPenalty
     val computeSec = scanSec + cpuSec + shuffleSec

@@ -6,7 +6,7 @@ package repro.core
   * @param gcSeconds       total JVM GC time attributed to the run
   */
 final case class ExecResult(perQuerySeconds: Map[String, Double], gcSeconds: Double) {
-  /** Total application wall time: queries run sequentially. */
+  /** Total application wall time (queries run sequentially), summed in map order. */
   def totalSeconds: Double = perQuerySeconds.values.sum
 }
 
