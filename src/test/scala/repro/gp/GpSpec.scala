@@ -382,6 +382,16 @@ class GpSpec extends AnyFunSuite {
     assert(repeats > 0 && moves > 0, "the chains should both repeat and move between draws")
   }
 
+  test("the MH chain's start fit throws on a training row with a NaN coordinate, either side of the size rule") {
+    for (n <- Seq(16, 40); threads <- Seq(1, 4)) {
+      val data = new Random(n)
+      val xs = (0 until n).map(_ => Array.fill(5)(data.nextDouble()))
+      xs(n / 2)(3) = Double.NaN
+      val ys = xs.map(x => x(0) + x(1))
+      onPool(threads)(intercept[IllegalStateException](EiMcmc.fitMarginalized(m52, xs, ys, Rng(n), 3, 8, 3)))
+    }
+  }
+
   test("eiBatch and the mixture predictBatch equal per-point EI and prediction exactly") {
     val rng = new Random(14)
     val xs = (0 until 30).map(_ => Array.fill(4)(rng.nextDouble()))
