@@ -1,6 +1,6 @@
 package repro.baselines
 
-import java.util.concurrent.{Callable, ForkJoinTask}
+import java.util.stream.IntStream
 import repro.core._
 import repro.ml.{Ga, Gbrt}
 import repro.stats.Rng
@@ -34,14 +34,13 @@ final class Dac(
 
     // GA over the model; several restarts give distinct candidates. Each
     // restart owns its generator and the model is read-only, so the restarts
-    // run forked onto the caller's ForkJoinPool (the common pool outside one)
-    // and their candidates come back in restart order.
-    val candidates = (0 until gaCandidates).map { k =>
-      val restart: Callable[Array[Double]] = () =>
-        Ga.minimize(u => model.predict(u :+ ds / 1000.0), space.dim, Rng(seed * 31 + k), popSize = 40,
-          generations = 50).best
-      ForkJoinTask.adapt(restart).fork()
-    }.map(_.join())
+    // run as a parallel stream on the caller's ForkJoinPool (the common pool
+    // outside one), each writing its candidate to its restart's slot.
+    val candidates = new Array[Array[Double]](gaCandidates)
+    IntStream.range(0, gaCandidates).parallel().forEach { k =>
+      candidates(k) = Ga.minimize(u => model.predict(u :+ ds / 1000.0), space.dim, Rng(seed * 31 + k), popSize = 40,
+        generations = 50).best
+    }
     // validate model-optima on the "cluster"; DAC's recommendation is the
     // best of the GA candidates (the model's output), per its protocol
     val validated = candidates.map(u => log.run(space.decode(u), ds))

@@ -1,6 +1,5 @@
 package repro.gp
 
-import java.util.concurrent.{Callable, ForkJoinTask}
 import java.util.stream.IntStream
 import repro.stats.Stats
 import scala.util.Random
@@ -76,16 +75,16 @@ object EiMcmc {
       * order. A fitted GP that MH repeated (it rejected every move between
       * two draws) is scored once, and one task per (distinct GP, block of
       * `GaussianProcess.Block` candidates) writes its range of that GP's
-      * arrays through [[fanOut]]. Every candidate's prediction keeps its own
-      * operation order, so the result does not depend on the split or the
-      * thread count.
+      * arrays through [[fanOut]], in parallel when `xs` holds more than one
+      * block. Every candidate's prediction keeps its own operation order, so
+      * the result does not depend on the split or the thread count.
       */
     private def drawMoments(xs: Array[Array[Double]]): Seq[(Array[Double], Array[Double])] = {
       val m = xs.length
       val distinct = gps.foldLeft(Vector.empty[GaussianProcess])((d, g) => if (d.exists(_ eq g)) d else d :+ g)
       val blocks = (m + Block - 1) / Block
       val moments = distinct.map(_ => (new Array[Double](m), new Array[Double](m)))
-      fanOut(m, distinct.size * blocks) { task =>
+      fanOut(distinct.size * blocks, m > Block) { task =>
         val from = task % blocks * Block
         val (mu, sd) = moments(task / blocks)
         distinct(task / blocks).predictInto(xs, from, math.min(m, from + Block), mu, sd)
@@ -97,20 +96,18 @@ object EiMcmc {
   private val Block = GaussianProcess.Block
 
   /** Smallest training window whose MH proposals [[fitMarginalized]] fits
-    * in parallel: below it a fork/join round trip costs about as much as a
-    * fit.
+    * in parallel: below it a parallel round costs about as much as a fit.
     */
   private val PrefetchFrom = 32
 
-  /** Run `task(0 until tasks)` for a pool of `m` candidates: on the calling
-    * thread when the pool fits one block (m ≤ `Block`), otherwise as a
-    * parallel stream on the common ForkJoinPool (or the ForkJoinPool the
-    * caller runs in), the caller joining in. Tasks must write disjoint
-    * outputs.
+  /** Run `task(0 until tasks)`: when `parallel`, as a parallel stream on the
+    * common ForkJoinPool (or the ForkJoinPool the caller runs in), the caller
+    * joining in; otherwise one after another on the calling thread. Tasks
+    * must write disjoint outputs.
     */
-  private def fanOut(m: Int, tasks: Int)(task: Int => Unit): Unit =
-    if (m <= Block) (0 until tasks).foreach(task)
-    else IntStream.range(0, tasks).parallel().forEach(t => task(t))
+  private def fanOut(tasks: Int, parallel: Boolean)(task: Int => Unit): Unit =
+    if (parallel) IntStream.range(0, tasks).parallel().forEach(t => task(t))
+    else (0 until tasks).foreach(task)
 
   /** Standard deviation of the MH random-walk proposal in log-hyper space. */
   private val ProposalSd = 0.25
@@ -124,7 +121,8 @@ object EiMcmc {
     * The chain is prefetched (Brockwell 2006): the calling thread first draws
     * every step's Gaussians (each × `ProposalSd`) and log-uniform, in the
     * order of a chain that fits one proposal per step. From `current` at step
-    * k it then fits three proposals at once: current + n_k for step k, and
+    * k it then fits three proposals in one [[fanOut]] round (round 0 adds the
+    * start point, whose failed fit propagates): current + n_k for step k, and
     * step k + 1's two branches, current + n_{k+1} (step k rejected) and
     * (current + n_k) + n_{k+1} (step k accepted). Each step is decided with
     * the same operands and the same comparison as the one-step chain, and a
@@ -171,7 +169,9 @@ object EiMcmc {
       // step k + 1's proposal if step k rejects, and if it accepts
       val ahead = if (prefetch && k + 1 < totalSteps) Seq(proposal(current, k + 1), proposal(p, k + 1)) else Nil
       val startFit = if (k == 0) Seq(() => Some(GaussianProcess.fit(kernel, x, y, start))) else Nil
-      val fits = fitAll(prefetch, startFit ++ (p +: ahead).map(tryFit))
+      val round = (startFit ++ (p +: ahead).map(tryFit)).toArray
+      val fits = new Array[Option[GaussianProcess]](round.length)
+      fanOut(round.length, prefetch)(i => fits(i) = round(i)())
       if (k == 0) { currentGp = fits.head.get; currentLp = logPosterior(currentGp) }
       val stepFits = fits.drop(startFit.size)
       val accepted = decide(k, p, stepFits.head)
@@ -185,20 +185,6 @@ object EiMcmc {
     if (draws.isEmpty) draws += Option(currentGp).getOrElse(GaussianProcess.fit(kernel, x, y, start))
     Marginalized(draws.toSeq)
   }
-
-  /** Every one of `fits`, results in order: one after another on the calling
-    * thread, or, when `parallel`, the first on the calling thread while the
-    * others run forked onto the caller's ForkJoinPool (the common pool
-    * outside one). An exception of the first cancels the others and
-    * propagates.
-    */
-  private def fitAll[T](parallel: Boolean, fits: Seq[() => T]): Seq[T] =
-    if (!parallel) fits.map(_())
-    else {
-      val forked = fits.tail.map(f => ForkJoinTask.adapt((() => f()): Callable[T]).fork())
-      val first = try fits.head() catch { case e: Throwable => forked.foreach(_.cancel(false)); throw e }
-      first +: forked.map(_.join())
-    }
 
   private def logPosterior(gp: GaussianProcess): Double = {
     // broad zero-mean Gaussian prior over log-hypers, sd = 2
@@ -235,8 +221,9 @@ object EiMcmc {
     * unit and its EI, or a uniform unit and −∞ when nothing scores (every
     * candidate rejected, or every EI NaN).
     *
-    * `accept` and `input` may run concurrently, on several candidates at once
-    * and on other threads than the caller's, so both must be pure. Every
+    * `accept` and `input` run through [[fanOut]], in parallel when the pool
+    * holds more than one block: on several candidates at once and on other
+    * threads than the caller's, so both must be pure. Every
     * random draw stays on the calling thread, in its old order; the MH fits
     * are prefetched two steps per round on windows of `PrefetchFrom` points
     * or more (see [[fitMarginalized]]), with the one-step chain's draws.
@@ -252,7 +239,7 @@ object EiMcmc {
     val pool = candidatePool(rng, dim, nRandom, window(ys.indexOf(best)).unit, nLocal, sigmas)
     // input(u) of each accepted candidate, null for a rejected one
     val inputs = new Array[Array[Double]](pool.length)
-    fanOut(pool.length, pool.length)(c => if (accept(pool(c))) inputs(c) = input(pool(c)))
+    fanOut(pool.length, pool.length > Block)(c => if (accept(pool(c))) inputs(c) = input(pool(c)))
     val kept = pool.indices.filter(inputs(_) != null)
     val (i, ei) = model.maxEi(kept.map(inputs(_)).toArray, best)
     if (ei > Double.NegativeInfinity) (pool(kept(i)), ei) else (Array.fill(dim)(rng.nextDouble()), ei)

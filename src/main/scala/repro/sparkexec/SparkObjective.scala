@@ -49,7 +49,12 @@ final class SparkObjective(
   /** Keys this objective's `applyConf` calls have skipped so far. */
   def skippedKeys: Set[String] = skipped.toSet
 
+  /** Runs the workload's queries, or those of `subset`, in workload order.
+    * An id outside the workload throws `NoSuchElementException`, as the
+    * simulator does, before the configuration is applied.
+    */
   override def run(conf: ConfigValues, datasizeGB: Double, subset: Option[Seq[String]] = None): ExecResult = {
+    for (ids <- subset; id <- ids if !queries.contains(id)) throw new NoSuchElementException(s"no query $id in $name")
     applyConf(conf)
     val wanted = subset.map(_.toSet)
     val toRun = queriesToRun.filter(q => wanted.forall(_.contains(q.id)))

@@ -59,10 +59,13 @@ class BaselinesSpec extends AnyFunSuite {
     assert(!g.memoryFeasible(starved))
   }
 
-  /** The memory model as it read a cluster's capacity from three numbers
-    * (total memory, total cores, worker count) before it took the profile.
+  /** The memory model's three checks (fits a node, fits the cluster, meets
+    * the execution-memory floor) as it read a cluster's capacity from three
+    * numbers (total memory, total cores, worker count) before it took the
+    * profile; a configuration is feasible when all three hold.
     */
-  private def threeNumberFeasible(clusterMemGB: Double, clusterCores: Int, workerNodes: Int)(conf: ConfigValues): Boolean = {
+  private def threeNumberChecks(clusterMemGB: Double, clusterCores: Int, workerNodes: Int)(
+      conf: ConfigValues): (Boolean, Boolean, Boolean) = {
     val execMem = conf("spark.executor.memory")
     val overheadGB = conf("spark.executor.memoryOverhead") / 1024.0
     val offHeapGB = if (conf.bool("spark.memory.offHeap.enabled")) conf("spark.memory.offHeap.size") / 1024.0 else 0.0
@@ -74,7 +77,7 @@ class BaselinesSpec extends AnyFunSuite {
     val fitsNode = perExec <= memPerNode && cores <= coresPerNode
     val fitsCluster = instances * perExec <= clusterMemGB * 1.05 && instances * cores <= clusterCores * 1.05
     val execShare = execMem * conf("spark.memory.fraction") / cores
-    fitsNode && fitsCluster && execShare >= 0.5
+    (fitsNode, fitsCluster, execShare >= 0.5)
   }
 
   test("GBO-RL memory model gives the three-number model's verdicts on 2000 configurations per cluster") {
@@ -86,10 +89,12 @@ class BaselinesSpec extends AnyFunSuite {
       val rng = new Random(c.workerNodes.toLong)
       val confs = Seq.fill(2000)(space.random(rng))
       val g = new GboRl(c)
-      val reference = threeNumberFeasible(c.totalMemGB.toDouble, c.totalCores, c.workerNodes) _
+      val checks = confs.map(threeNumberChecks(c.totalMemGB.toDouble, c.totalCores, c.workerNodes))
       val verdicts = confs.map(g.memoryFeasible)
-      assert(verdicts == confs.map(reference), c.name)
+      assert(verdicts == checks.map { case (node, cluster, floor) => node && cluster && floor }, c.name)
       assert(verdicts.contains(true) && verdicts.contains(false), c.name)
+      // on small nodes the per-node check alone rejects some configurations
+      if (c eq smallNodes) assert(checks.exists { case (node, cluster, floor) => !node && cluster && floor })
     }
   }
 

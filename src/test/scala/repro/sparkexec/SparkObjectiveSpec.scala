@@ -25,6 +25,16 @@ class SparkObjectiveSpec extends SparkSpec {
     assert(res.perQuerySeconds.keySet == Set("Q6", "SCAN"))
   }
 
+  test("a subset naming a query outside the workload throws before the configuration is applied") {
+    val before = spark.conf.get("spark.sql.shuffle.partitions")
+    val conf = SparkObjective.runtimeSpace.defaults.updated("spark.sql.shuffle.partitions", 23)
+    Seq(Seq("Q99"), Seq("Q6", "Q99")).foreach { ids =>
+      val e = intercept[NoSuchElementException](objective.run(conf, sf, Some(ids)))
+      assert(e.getMessage == "no query Q99 in real-spark", ids)
+      assert(spark.conf.get("spark.sql.shuffle.partitions") == before, ids)
+    }
+  }
+
   test("applyConf actually changes the live session configuration") {
     val conf = SparkObjective.runtimeSpace.defaults
       .updated("spark.sql.shuffle.partitions", 17)

@@ -83,8 +83,8 @@ def metric_summary(pairs, better, bound):
 
 def summarize(runs, metrics):
     """Per workload: each metric's summary over the seeds both sides ran, and
-    the failed and attempted operation counts. `metrics` is BENCHMARK.json's
-    end_to_end list.
+    per side the failed and attempted operation counts and the runs that gave
+    no result. `metrics` is BENCHMARK.json's end_to_end list.
     """
     out = {}
     for w in dict.fromkeys(r["workload"] for r in runs):
@@ -99,10 +99,10 @@ def summarize(runs, metrics):
                       by_seed[s]["change"]["metrics"][m["name"]]["value"]) for s in both]
             if pairs:
                 summary[m["name"]] = metric_summary(pairs, m["better"], m["bound"])
-        ok = [r for r in runs if r["workload"] == w and "metrics" in r]
-        summary["failed"] = sum(r["failed"] for r in ok)
-        summary["attempted"] = sum(r["attempted"] for r in ok)
-        summary["runs_without_result"] = sum(1 for r in runs if r["workload"] == w and "metrics" not in r)
+        sides = {side: [r for r in runs if r["workload"] == w and r["side"] == side] for side in ("parent", "change")}
+        summary["failed"] = {side: sum(r["failed"] for r in rs if "metrics" in r) for side, rs in sides.items()}
+        summary["attempted"] = {side: sum(r["attempted"] for r in rs if "metrics" in r) for side, rs in sides.items()}
+        summary["runs_without_result"] = {side: sum(1 for r in rs if "metrics" not in r) for side, rs in sides.items()}
         out[w] = summary
     return out
 
@@ -204,7 +204,8 @@ def main():
                 print("%-18s %-14s parent %.4g  change %.4g  won %d/%d  %s" % (
                     w, name, v["parent_median"], v["change_median"], v["change_won_pairs"], v["pairs"],
                     v["verdict"]))
-        print("%-18s failed %d/%d" % (w, s["failed"], s["attempted"]))
+        print("%-18s failed: parent %d/%d  change %d/%d" % (
+            w, s["failed"]["parent"], s["attempted"]["parent"], s["failed"]["change"], s["attempted"]["change"]))
 
 
 if __name__ == "__main__":

@@ -99,9 +99,9 @@ class SummaryTest(unittest.TestCase):
         self.assertEqual(s["wall_s"]["pairs"], 3)
         self.assertEqual(s["wall_s"]["change_won_pairs"], 2)
         self.assertEqual(s["wall_s"]["parent_median"], 11.0)
-        self.assertEqual(s["failed"], 2)
-        self.assertEqual(s["attempted"], 70)
-        self.assertEqual(s["runs_without_result"], 1)
+        self.assertEqual(s["failed"], {"parent": 0, "change": 2})
+        self.assertEqual(s["attempted"], {"parent": 40, "change": 30})
+        self.assertEqual(s["runs_without_result"], {"parent": 0, "change": 1})
 
     def test_checkout_info_names_the_commit_and_says_whether_the_tree_is_dirty(self):
         with tempfile.TemporaryDirectory() as repo:
