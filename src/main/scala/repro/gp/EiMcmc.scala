@@ -223,8 +223,8 @@ object EiMcmc {
     *
     * `accept` and `input` run through [[fanOut]], in parallel when the pool
     * holds more than one block: on several candidates at once and on other
-    * threads than the caller's, so both must be pure. Every
-    * random draw stays on the calling thread, in its old order; the MH fits
+    * threads than the caller's, so both must be pure. Every random draw
+    * stays on the calling thread, in its old order; the MH fits
     * are prefetched two steps per round on windows of `PrefetchFrom` points
     * or more (see [[fitMarginalized]]), with the one-step chain's draws.
     */
