@@ -1,5 +1,7 @@
 package repro.linalg
 
+import org.apache.commons.math3.linear.{Array2DRowRealMatrix, EigenDecomposition}
+
 /** Minimal dense linear algebra for the GP / KPCA substrates.
   *
   * Row-major, mutable `Array[Double]` backing. Sizes here are small
@@ -13,20 +15,10 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) {
   def update(i: Int, j: Int, v: Double): Unit = data(i * cols + j) = v
 
   def copy: Mat = new Mat(rows, cols, data.clone())
-
-  override def toString: String =
-    (0 until rows).map(i => (0 until cols).map(j => f"${this(i, j)}%.4f").mkString(" ")).mkString("\n")
 }
 
 object Mat {
   def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, new Array[Double](rows * cols))
-
-  def eye(n: Int): Mat = {
-    val m = zeros(n, n)
-    var i = 0
-    while (i < n) { m(i, i) = 1.0; i += 1 }
-    m
-  }
 
   def fromRows(rows: Seq[Array[Double]]): Mat = {
     require(rows.nonEmpty, "fromRows needs at least one row")
@@ -129,81 +121,19 @@ object Mat {
   def choleskySolve(l: Mat, b: Array[Double]): Array[Double] =
     solveUpperFromLower(l, solveLower(l, b))
 
-  /** Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
+  /** Eigendecomposition of a symmetric matrix (commons-math3's
+    * `EigenDecomposition`: Householder tridiagonalization, then implicit QL).
     *
     * Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue;
     * eigenvector k is column k of the returned matrix.
     */
-  def jacobiEigSym(aIn: Mat): (Array[Double], Mat) = {
-    require(aIn.rows == aIn.cols, "jacobiEigSym needs a square matrix")
-    val n = aIn.rows
-    val a = aIn.copy
-    val v = eye(n)
-    var sweep = 0
-    var off = offDiagNorm(a)
-    val tol = 1e-12 // sweep until the off-diagonal norm is below this, at most 64 times
-    while (sweep < 64 && off > tol) {
-      var p = 0
-      while (p < n - 1) {
-        var q = p + 1
-        while (q < n) {
-          val apq = a(p, q)
-          if (math.abs(apq) > tol * 1e-3) {
-            val app = a(p, p); val aqq = a(q, q)
-            val theta = 0.5 * (aqq - app) / apq
-            val t = math.signum(theta) / (math.abs(theta) + math.sqrt(theta * theta + 1.0))
-            val c = 1.0 / math.sqrt(t * t + 1.0)
-            val s = t * c
-            // rotate rows/cols p,q of a
-            var k = 0
-            while (k < n) {
-              val akp = a(k, p); val akq = a(k, q)
-              a(k, p) = c * akp - s * akq
-              a(k, q) = s * akp + c * akq
-              k += 1
-            }
-            k = 0
-            while (k < n) {
-              val apk = a(p, k); val aqk = a(q, k)
-              a(p, k) = c * apk - s * aqk
-              a(q, k) = s * apk + c * aqk
-              k += 1
-            }
-            k = 0
-            while (k < n) {
-              val vkp = v(k, p); val vkq = v(k, q)
-              v(k, p) = c * vkp - s * vkq
-              v(k, q) = s * vkp + c * vkq
-              k += 1
-            }
-          }
-          q += 1
-        }
-        p += 1
-      }
-      off = offDiagNorm(a)
-      sweep += 1
-    }
-    val vals = Array.tabulate(n)(i => a(i, i))
-    val order = vals.indices.sortBy(i => -vals(i)).toArray
-    val sortedVals = order.map(vals)
-    val sortedVecs = zeros(n, n)
-    var j = 0
-    while (j < n) {
-      var i = 0
-      while (i < n) { sortedVecs(i, j) = v(i, order(j)); i += 1 }
-      j += 1
-    }
-    (sortedVals, sortedVecs)
-  }
-
-  private def offDiagNorm(a: Mat): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.rows) {
-      var j = 0
-      while (j < a.cols) { if (i != j) s += a(i, j) * a(i, j); j += 1 }
-      i += 1
-    }
-    math.sqrt(s)
+  def eigSym(a: Mat): (Array[Double], Mat) = {
+    require(a.rows == a.cols, "eigSym needs a square matrix")
+    val n = a.rows
+    val ed = new EigenDecomposition(new Array2DRowRealMatrix(Array.tabulate(n, n)((i, j) => a(i, j)), false))
+    val vals = ed.getRealEigenvalues
+    val order = vals.indices.sortBy(i => -vals(i))
+    val v = ed.getV
+    (order.map(vals).toArray, new Mat(n, n, Array.tabulate(n * n)(k => v.getEntry(k / n, order(k % n)))))
   }
 }

@@ -1,9 +1,9 @@
 package repro.ml
 
-import repro.linalg.Mat
+import org.apache.commons.math3.stat.regression.OLSMultipleLinearRegression
 
-/** Ordinary least squares / ridge linear regression (normal equations via
-  * Cholesky) — the "LinearR" comparator in Fig 16.
+/** Ordinary least squares linear regression (commons-math3's
+  * `OLSMultipleLinearRegression`, QR-based) — the "LinearR" comparator in Fig 16.
   */
 final class LinearRegression private (val weights: Array[Double], val bias: Double) {
   def predict(x: Array[Double]): Double = {
@@ -14,28 +14,16 @@ final class LinearRegression private (val weights: Array[Double], val bias: Doub
 }
 
 object LinearRegression {
-  /** Ridge weight per sample: just enough to keep XᵀX positive definite. */
-  private val Ridge = 1e-8
-
+  /** Throws when the design has no more rows than its d + 1 columns, and
+    * `SingularMatrixException` when QR meets an exactly zero pivot (an
+    * all-zero column); a column that repeats another may fit or throw.
+    */
   def fit(x: Seq[Array[Double]], y: Seq[Double]): LinearRegression = {
     require(x.nonEmpty && x.size == y.size, "linear regression needs equal non-empty x/y")
-    val n = x.size; val d = x.head.length
-    // augmented design with intercept column
-    val xtx = Mat.zeros(d + 1, d + 1)
-    val xty = new Array[Double](d + 1)
-    x.zip(y).foreach { case (xi, yi) =>
-      val aug = xi :+ 1.0
-      for (a <- 0 to d; b <- a to d) {
-        xtx(a, b) += aug(a) * aug(b)
-        if (a != b) xtx(b, a) = xtx(a, b)
-      }
-      for (a <- 0 to d) xty(a) += aug(a) * yi
-    }
-    var i = 0
-    while (i <= d) { xtx(i, i) += Ridge * n; i += 1 }
-    val l = Mat.cholesky(xtx)
-    val w = Mat.choleskySolve(l, xty)
-    new LinearRegression(w.take(d), w(d))
+    val ols = new OLSMultipleLinearRegression()
+    ols.newSampleData(y.toArray, x.toArray)
+    val w = ols.estimateRegressionParameters() // intercept first
+    new LinearRegression(w.tail, w.head)
   }
 }
 

@@ -1,8 +1,10 @@
 package repro.stats
 
+import org.apache.commons.math3.stat.correlation.SpearmansCorrelation
+
 /** Descriptive statistics used throughout LOCAT: mean, (population) standard
-  * deviation, Coefficient of Variation (paper eq. 3), ranks, and the
-  * Spearman Correlation Coefficient used by CPS (paper §3.3.2).
+  * deviation, Coefficient of Variation (paper eq. 3), and the Spearman
+  * Correlation Coefficient used by CPS (paper §3.3.2).
   */
 object Stats {
 
@@ -29,40 +31,14 @@ object Stats {
     pred.zip(actual).map { case (p, a) => math.abs(p - a) / math.max(1e-12, math.abs(a)) }.sum / pred.size
   }
 
-  /** Fractional ranks with ties averaged (the convention Spearman requires). */
-  def ranks(xs: Seq[Double]): Array[Double] = {
-    val n = xs.size
-    val sortedIdx = xs.indices.sortBy(xs)
-    val out = new Array[Double](n)
-    var i = 0
-    while (i < n) {
-      var j = i
-      // group ties: xs at sortedIdx(i..j) all equal
-      while (j + 1 < n && xs(sortedIdx(j + 1)) == xs(sortedIdx(i))) j += 1
-      val avgRank = (i + j) / 2.0 + 1.0 // ranks are 1-based
-      var k = i
-      while (k <= j) { out(sortedIdx(k)) = avgRank; k += 1 }
-      i = j + 1
-    }
-    out
-  }
-
-  def pearson(xs: Seq[Double], ys: Seq[Double]): Double = {
-    require(xs.size == ys.size && xs.size >= 2, "pearson needs >=2 paired values")
-    val mx = mean(xs); val my = mean(ys)
-    var sxy = 0.0; var sxx = 0.0; var syy = 0.0
-    xs.indices.foreach { i =>
-      val dx = xs(i) - mx; val dy = ys(i) - my
-      sxy += dx * dy; sxx += dx * dx; syy += dy * dy
-    }
-    if (sxx == 0.0 || syy == 0.0) 0.0 else sxy / math.sqrt(sxx * syy)
-  }
-
-  /** Spearman Correlation Coefficient: Pearson correlation of the ranks.
-    * Handles ties via average ranks; constant series give SCC = 0.
+  /** Spearman Correlation Coefficient (commons-math3's `SpearmansCorrelation`:
+    * Pearson correlation of the ranks, ties given their average rank).
+    * A constant series gives SCC = 0; a NaN value throws.
     */
-  def spearman(xs: Seq[Double], ys: Seq[Double]): Double =
-    pearson(ranks(xs).toSeq, ranks(ys).toSeq)
+  def spearman(xs: Seq[Double], ys: Seq[Double]): Double = {
+    val r = new SpearmansCorrelation().correlation(xs.toArray, ys.toArray)
+    if (r.isNaN) 0.0 else r
+  }
 
   /** Standard normal PDF / CDF (Abramowitz–Stegun erf approximation), used by EI. */
   def normPdf(z: Double): Double = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.Pi)

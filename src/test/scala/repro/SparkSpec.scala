@@ -3,13 +3,13 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for the suites that run Spark: one local-mode SparkSession for the
+  * whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (48g when unset). Broadcast joins are disabled so the
   * lite queries' joins exercise the shuffle path on the SF 0.002–0.003 test
-  * tables; re-enable per-query if the paper's contribution is the broadcast
-  * side.
+  * tables; a suite that changes a setting restores `SparkSpec.Settings`.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -21,12 +21,17 @@ object SparkSpec {
     */
   val ShufflePartitions: Int = 4
 
+  /** The SQL settings `shared` starts with, as `spark.conf.get` reads them. */
+  val Settings: Map[String, String] = Map(
+    "spark.sql.shuffle.partitions" -> ShufflePartitions.toString,
+    "spark.sql.autoBroadcastJoinThreshold" -> "-1",
+  )
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions", ShufflePartitions)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config(Settings)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).

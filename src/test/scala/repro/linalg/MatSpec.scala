@@ -52,13 +52,6 @@ class MatSpec extends AnyFunSuite {
     a
   }
 
-  test("eye is multiplicative identity") {
-    val rng = new Random(1)
-    val a = new Mat(4, 4, Array.fill(16)(rng.nextGaussian()))
-    assert(dist(mul(a, Mat.eye(4)), a) < 1e-12)
-    assert(dist(mul(Mat.eye(4), a), a) < 1e-12)
-  }
-
   test("fromRows rejects ragged input") {
     intercept[IllegalArgumentException] {
       Mat.fromRows(Seq(Array(1.0, 2.0), Array(1.0)))
@@ -140,40 +133,63 @@ class MatSpec extends AnyFunSuite {
     x.indices.foreach(i => assert(math.abs(gotU(i) - x(i)) < 1e-9))
   }
 
-  test("jacobiEigSym recovers known eigenvalues of a diagonal matrix") {
+  test("eigSym recovers known eigenvalues of a diagonal matrix") {
     val a = Mat.zeros(3, 3)
     a(0, 0) = 3.0; a(1, 1) = 1.0; a(2, 2) = 2.0
-    val (vals, _) = Mat.jacobiEigSym(a)
+    val (vals, _) = Mat.eigSym(a)
     assert(vals.toSeq == Seq(3.0, 2.0, 1.0))
   }
 
-  test("jacobiEigSym reconstructs random symmetric matrices (15 seeds)") {
+  test("eigSym reconstructs random symmetric matrices (15 seeds)") {
     for (seed <- 0 until 15) {
       val rng = new Random(seed)
       val n = 2 + rng.nextInt(9)
       val b = new Mat(n, n, Array.fill(n * n)(rng.nextGaussian()))
       val bt = tr(b)
       val a = new Mat(n, n, b.data.indices.map(k => (b.data(k) + bt.data(k)) * 0.5).toArray)
-      val (vals, vecs) = Mat.jacobiEigSym(a)
+      val (vals, vecs) = Mat.eigSym(a)
       val lambda = Mat.zeros(n, n)
       vals.indices.foreach(i => lambda(i, i) = vals(i))
       assert(dist(mul(mul(vecs, lambda), tr(vecs)), a) < 1e-7 * n, s"seed=$seed n=$n")
     }
   }
 
-  test("jacobiEigSym eigenvalues are sorted descending") {
-    val (vals, _) = Mat.jacobiEigSym(randSpd(8, new Random(9)))
+  test("eigSym eigenvalues are sorted descending") {
+    val (vals, _) = Mat.eigSym(randSpd(8, new Random(9)))
     assert(vals.toSeq == vals.toSeq.sorted(Ordering[Double].reverse))
   }
 
-  test("jacobiEigSym eigenvectors are orthonormal") {
-    val (_, v) = Mat.jacobiEigSym(randSpd(7, new Random(11)))
-    assert(dist(mul(v, tr(v)), Mat.eye(7)) < 1e-8)
+  test("eigSym eigenvectors are orthonormal") {
+    val (_, v) = Mat.eigSym(randSpd(7, new Random(11)))
+    val eye = Mat.zeros(7, 7)
+    (0 until 7).foreach(i => eye(i, i) = 1.0)
+    assert(dist(mul(v, tr(v)), eye) < 1e-8)
+  }
+
+  test("eigSym on double-centred gaussian kernel matrices, the shape KPCA decomposes (10 seeds)") {
+    for (seed <- 0 until 10) {
+      val rng = new Random(40 + seed)
+      val n = 20
+      val xs = Array.fill(n)(Array.fill(5)(rng.nextDouble()))
+      val k = Mat.symmetric(xs)((x, y) => math.exp(-Mat.sqDist(x, y) / 2.0))
+      val rowMeans = Array.tabulate(n)(i => (0 until n).map(j => k(i, j)).sum / n)
+      val totalMean = rowMeans.sum / n
+      val kc = Mat.zeros(n, n)
+      for (i <- 0 until n; j <- 0 until n) kc(i, j) = k(i, j) - rowMeans(i) - rowMeans(j) + totalMean
+      val (vals, vecs) = Mat.eigSym(kc)
+      val lambda = Mat.zeros(n, n)
+      vals.indices.foreach(i => lambda(i, i) = vals(i))
+      assert(dist(mul(mul(vecs, lambda), tr(vecs)), kc) < 1e-12 * n, s"seed=$seed")
+      val eye = Mat.zeros(n, n)
+      (0 until n).foreach(i => eye(i, i) = 1.0)
+      assert(dist(mul(tr(vecs), vecs), eye) < 1e-12 * n, s"seed=$seed")
+      assert(vals.toSeq == vals.toSeq.sorted(Ordering[Double].reverse), s"seed=$seed")
+    }
   }
 
   test("trace of eigenvalues equals trace of matrix") {
     val a = randSpd(6, new Random(21))
-    val (vals, _) = Mat.jacobiEigSym(a)
+    val (vals, _) = Mat.eigSym(a)
     val tr = (0 until 6).map(i => a(i, i)).sum
     assert(math.abs(vals.sum - tr) < 1e-8)
   }

@@ -1,5 +1,6 @@
 package repro.ml
 
+import org.apache.commons.math3.linear.SingularMatrixException
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
 import repro.core.ConfigSpace
@@ -194,6 +195,12 @@ class MlSpec extends AnyFunSuite {
     val ys = xs.map(x => 2.0 * x(0) + 1.0 + rng.nextGaussian() * 0.1)
     val m = LinearRegression.fit(xs, ys)
     assert(math.abs(m.weights(0) - 2.0) < 0.15)
+  }
+
+  test("OLS throws on a design with an all-zero column") {
+    val rng = new Random(9)
+    val xs = Seq.fill(20)(Array(rng.nextDouble(), 0.0))
+    intercept[SingularMatrixException](LinearRegression.fit(xs, xs.map(x => 2.0 * x(0))))
   }
 
   test("logistic regression separates a linearly separable target") {

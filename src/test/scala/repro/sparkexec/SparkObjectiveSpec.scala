@@ -1,9 +1,10 @@
 package repro.sparkexec
 
+import org.scalatest.{BeforeAndAfterAll, BeforeAndAfterEach}
 import repro.{SparkSpec, SynthData}
 import repro.core.{ConfigSpace, ConfigValues}
 
-class SparkObjectiveSpec extends SparkSpec {
+class SparkObjectiveSpec extends SparkSpec with BeforeAndAfterEach with BeforeAndAfterAll {
 
   private val sf = 0.002
   // a fast 5-query subset so each objective run stays ~seconds
@@ -12,6 +13,18 @@ class SparkObjectiveSpec extends SparkSpec {
 
   private lazy val objective =
     new SparkObjective(spark, fastQueries, SynthData.tables(spark, sf, fastQueries.flatMap(_.tables)))
+
+  /** Every test may apply a configuration: put back the shared session's
+    * settings and unset the other runtime keys.
+    */
+  override def afterEach(): Unit =
+    try SparkObjective.runtimeSpace.names.foreach { k =>
+      SparkSpec.Settings.get(k).fold(spark.conf.unset(k))(spark.conf.set(k, _))
+    } finally super.afterEach()
+
+  override def afterAll(): Unit =
+    try SparkSpec.Settings.foreach { case (k, v) => assert(spark.conf.get(k) == v, s"$k left changed for the next suite") }
+    finally super.afterAll()
 
   test("run() times every query of the workload") {
     val res = objective.run(SparkObjective.runtimeSpace.defaults, sf)
@@ -44,9 +57,6 @@ class SparkObjectiveSpec extends SparkSpec {
     assert(spark.conf.get("spark.sql.shuffle.partitions") == "17")
     assert(spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == (2048 * 1024).toString)
     assert(spark.conf.get("spark.sql.join.preferSortMergeJoin") == "false")
-    // restore the shared session's settings for other suites
-    objective.applyConf(SparkObjective.runtimeSpace.defaults)
-    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
   }
 
   /** How each runtime key's Table 2 value rendered into a conf string when the
@@ -77,24 +87,18 @@ class SparkObjectiveSpec extends SparkSpec {
       }
     }
     assert((space.names.toSet intersect objective.skippedKeys).isEmpty)
-    objective.applyConf(space.defaults)
-    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
   }
 
   test("every runtime-space parameter is settable on this Spark version") {
     objective.applyConf(SparkObjective.runtimeSpace.defaults)
     val notSettable = SparkObjective.runtimeSpace.names.toSet intersect objective.skippedKeys
     assert(notSettable.isEmpty, s"not settable in this Spark: $notSettable")
-    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
   }
 
   test("keys outside the runtime-settable set are recorded in skippedKeys") {
     objective.applyConf(ConfigSpace.full(arm = true).defaults)
     assert(objective.skippedKeys.contains("spark.executor.memory"))
     assert((SparkObjective.runtimeSpace.names.toSet intersect objective.skippedKeys).isEmpty)
-    // restore the shared session's settings for other suites
-    objective.applyConf(SparkObjective.runtimeSpace.defaults)
-    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
   }
 
   test("GC metrics are observed (listener wired)") {
@@ -107,6 +111,5 @@ class SparkObjectiveSpec extends SparkSpec {
     val weird = ConfigValues(Map("spark.sql.shuffle.partitions" -> 8.0, "zz.unknown" -> 1.0))
     objective.applyConf(weird) // must not throw: unknown key simply isn't in `runtimeSpace`
     assert(spark.conf.get("spark.sql.shuffle.partitions") == "8")
-    spark.conf.set("spark.sql.shuffle.partitions", SparkSpec.ShufflePartitions.toLong)
   }
 }

@@ -133,7 +133,7 @@ class KpcaSpec extends AnyFunSuite {
     val totalMean = rowMeans.sum / n
     val kc = Mat.zeros(n, n)
     for (i <- 0 until n; j <- 0 until n) kc(i, j) = k(i, j) - rowMeans(i) - rowMeans(j) + totalMean
-    val (vals, vecs) = Mat.jacobiEigSym(kc)
+    val (vals, vecs) = Mat.eigSym(kc)
     val tot = vals.filter(_ > 1e-10).sum
     val keep = scala.collection.mutable.ArrayBuffer.empty[Int]
     var acc = 0.0

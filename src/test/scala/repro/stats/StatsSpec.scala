@@ -1,5 +1,6 @@
 package repro.stats
 
+import org.apache.commons.math3.exception.NotANumberException
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -25,26 +26,6 @@ class StatsSpec extends AnyFunSuite {
 
   test("meanRelativeError known value") {
     assert(math.abs(Stats.meanRelativeError(Seq(110.0, 90.0), Seq(100.0, 100.0)) - 0.1) < 1e-12)
-  }
-
-  test("ranks without ties are a permutation of 1..n") {
-    val xs = Seq(3.0, 1.0, 2.0)
-    assert(Stats.ranks(xs).toSeq == Seq(3.0, 1.0, 2.0))
-  }
-
-  test("ranks average ties") {
-    // two values tied for ranks 2 and 3 → both get 2.5
-    assert(Stats.ranks(Seq(10.0, 20.0, 20.0, 30.0)).toSeq == Seq(1.0, 2.5, 2.5, 4.0))
-  }
-
-  test("pearson of perfectly linear data is ±1") {
-    val xs = Seq(1.0, 2.0, 3.0, 4.0)
-    assert(math.abs(Stats.pearson(xs, xs.map(x => 3 * x + 1)) - 1.0) < 1e-12)
-    assert(math.abs(Stats.pearson(xs, xs.map(x => -2 * x)) + 1.0) < 1e-12)
-  }
-
-  test("pearson of constant series is 0") {
-    assert(Stats.pearson(Seq(1.0, 1.0, 1.0), Seq(1.0, 2.0, 3.0)) == 0.0)
   }
 
   test("spearman is 1 for any monotone increasing transform") {
@@ -74,6 +55,15 @@ class StatsSpec extends AnyFunSuite {
       Stats.spearman(xs, ys)
     }
     assert(math.abs(vals.sum / vals.size) < 0.05)
+  }
+
+  test("spearman of a constant series is 0") {
+    assert(Stats.spearman(Seq(1.0, 1.0, 1.0), Seq(1.0, 2.0, 3.0)) == 0.0)
+    assert(Stats.spearman(Seq(1.0, 2.0, 3.0), Seq(4.0, 4.0, 4.0)) == 0.0)
+  }
+
+  test("spearman throws on a NaN input") {
+    intercept[NotANumberException](Stats.spearman(Seq(1.0, Double.NaN, 3.0), Seq(1.0, 2.0, 3.0)))
   }
 
   test("normCdf at 0 is 0.5 and is monotone") {

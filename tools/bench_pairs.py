@@ -5,13 +5,15 @@ Usage (from anywhere):
 
     python3 tools/bench_pairs.py --parent <checkout> --change <checkout> \\
         --workloads sim-locat-online sim-sota --seeds 11-20 --out BENCH_x.json \\
-        [--claim sim-locat-online:wall_s] [--what "..."] [--traced]
+        [--claim sim-locat-online:wall_s] [--what "..."] [--traced N]
 
 For every seed and workload it runs `perfbench/run.py --trace 0` once in each
 checkout, at the `run_seconds` of the change's BENCHMARK.json; odd seeds run
-the parent first, even seeds the change. With --traced it then takes one
-traced run (`--trace 1`) per side per workload at the first seed. The output
-file is rewritten after every run, so an interrupted series keeps its runs.
+the parent first, even seeds the change. With --traced N it then takes N
+traced runs (`--trace 1`) per side per workload at the first seed, the sides
+alternating which goes first, and reports each side's median and min-max for
+every per-layer metric. The output file is rewritten after every run, so an
+interrupted series keeps its runs.
 
 Each end-to-end metric gets each side's median and quartiles, the parent's
 interquartile range, the pairs the change won (ties count for neither), the
@@ -139,11 +141,20 @@ def run_once(checkout, workload, seed, seconds, trace):
 
 
 def traced_table(traced):
-    """Per workload and per-layer metric: the parent's and the change's value."""
+    """Per workload and per-layer metric: each side's values over its traced
+    runs (in run order) with their median, min and max; null for a side with
+    no value.
+    """
     out = {}
     for r in traced:
         for name, m in r.get("metrics", {}).items():
-            out.setdefault(r["workload"], {}).setdefault(name, {"unit": m["unit"]})[r["side"]] = m["value"]
+            entry = out.setdefault(r["workload"], {}).setdefault(name, {"unit": m["unit"], "parent": [], "change": []})
+            entry[r["side"]].append(m["value"])
+    for metrics in out.values():
+        for entry in metrics.values():
+            for side in ("parent", "change"):
+                vs = entry[side]
+                entry[side] = {"median": quantile(vs, 0.5), "min": min(vs), "max": max(vs), "runs": vs} if vs else None
     return out
 
 
@@ -156,7 +167,8 @@ def main():
     ap.add_argument("--out", required=True)
     ap.add_argument("--claim", default="none", help="workload:metric the change claims to improve, or none")
     ap.add_argument("--what", default="")
-    ap.add_argument("--traced", action="store_true")
+    ap.add_argument("--traced", type=int, default=0, metavar="N",
+                    help="traced runs per side per workload at the first seed")
     args = ap.parse_args()
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
@@ -186,17 +198,18 @@ def main():
                 doc["runs"].append(r)
                 print(json.dumps(r), flush=True)
                 save()
-    if args.traced:
-        traced = []
+    traced = []
+    for i in range(args.traced):
         for w in args.workloads:
-            for side in ["parent", "change"]:
+            for side in ["parent", "change"] if i % 2 == 0 else ["change", "parent"]:
                 r = {"side": side, "workload": w, "seed": seeds[0]}
                 r.update(run_once(checkouts[side], w, seeds[0], seconds, 1))
                 traced.append(r)
                 print(json.dumps(r), flush=True)
-        doc["traced"] = {"what": "one --trace 1 run per side per workload at seed %d" % seeds[0],
-                         "per_layer": traced_table(traced)}
-        save()
+                doc["traced"] = {"what": "%d --trace 1 runs per side per workload at seed %d, sides alternating "
+                                         "which goes first" % (args.traced, seeds[0]),
+                                 "per_layer": traced_table(traced)}
+                save()
     for w, s in doc["summary"].items():
         for name in (m["name"] for m in spec["end_to_end"]):
             if name in s:
@@ -206,6 +219,11 @@ def main():
                     v["verdict"]))
         print("%-18s failed: parent %d/%d  change %d/%d" % (
             w, s["failed"]["parent"], s["attempted"]["parent"], s["failed"]["change"], s["attempted"]["change"]))
+    for w, metrics in doc.get("traced", {}).get("per_layer", {}).items():
+        for name, e in metrics.items():
+            print("%-18s %-34s %s" % (w, name, "  ".join(
+                "%s %.4g [%.4g-%.4g]" % (side, e[side]["median"], e[side]["min"], e[side]["max"]) if e[side]
+                else "%s -" % side for side in ("parent", "change"))))
 
 
 if __name__ == "__main__":

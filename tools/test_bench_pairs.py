@@ -103,6 +103,28 @@ class SummaryTest(unittest.TestCase):
         self.assertEqual(s["attempted"], {"parent": 40, "change": 30})
         self.assertEqual(s["runs_without_result"], {"parent": 0, "change": 1})
 
+    def test_traced_table_gives_each_sides_median_and_range_per_layer(self):
+        def traced(side, w, values):
+            return {"side": side, "workload": w, "seed": 1,
+                    "metrics": {name: {"value": v, "unit": "ms"} for name, v in values.items()}}
+        rs = [traced("parent", "w", {"stats.kpca_fit_ms": 2.0, "core.iicp_fit_ms": 9.0}),
+              traced("change", "w", {"stats.kpca_fit_ms": 1.0, "core.iicp_fit_ms": 8.0}),
+              traced("change", "w", {"stats.kpca_fit_ms": 1.5, "core.iicp_fit_ms": 7.0}),
+              traced("parent", "w", {"stats.kpca_fit_ms": 3.0, "core.iicp_fit_ms": 12.0}),
+              traced("parent", "w", {"stats.kpca_fit_ms": 2.5, "core.iicp_fit_ms": 10.0}),
+              {"side": "change", "workload": "w", "seed": 1, "error": "run timed out"},
+              traced("parent", "v", {"gp.predict_us": 40.0})]
+        t = bench_pairs.traced_table(rs)
+        self.assertEqual(t["w"]["stats.kpca_fit_ms"], {
+            "unit": "ms",
+            "parent": {"median": 2.5, "min": 2.0, "max": 3.0, "runs": [2.0, 3.0, 2.5]},
+            "change": {"median": 1.25, "min": 1.0, "max": 1.5, "runs": [1.0, 1.5]}})
+        self.assertEqual(t["w"]["core.iicp_fit_ms"]["parent"]["median"], 10.0)
+        self.assertEqual(t["w"]["core.iicp_fit_ms"]["change"]["max"], 8.0)
+        # a workload only one side traced has no entry for the other side
+        self.assertEqual(t["v"]["gp.predict_us"]["parent"]["runs"], [40.0])
+        self.assertIsNone(t["v"]["gp.predict_us"]["change"])
+
     def test_checkout_info_names_the_commit_and_says_whether_the_tree_is_dirty(self):
         with tempfile.TemporaryDirectory() as repo:
             def git(*argv):
