@@ -34,12 +34,13 @@ private[repro] object RowCholesky {
 
 class MatSpec extends AnyFunSuite {
 
-  // the products, transpose and Frobenius distance the checks below need
+  // the products, transpose, diagonal matrix and Frobenius distance the checks below need
   private def mul(a: Mat, b: Mat): Mat =
     Mat.fromRows((0 until a.rows).map(i => Array.tabulate(b.cols)(j => (0 until a.cols).map(k => a(i, k) * b(k, j)).sum)))
   private def mulVec(a: Mat, v: Array[Double]): Array[Double] =
     Array.tabulate(a.rows)(i => (0 until a.cols).map(k => a(i, k) * v(k)).sum)
   private def tr(a: Mat): Mat = Mat.fromRows((0 until a.cols).map(j => Array.tabulate(a.rows)(i => a(i, j))))
+  private def diag(d: Seq[Double]): Mat = { val m = Mat.zeros(d.size, d.size); d.indices.foreach(i => m(i, i) = d(i)); m }
   private def dist(a: Mat, b: Mat): Double =
     math.sqrt(a.data.indices.map(i => (a.data(i) - b.data(i)) * (a.data(i) - b.data(i))).sum)
 
@@ -148,9 +149,7 @@ class MatSpec extends AnyFunSuite {
       val bt = tr(b)
       val a = new Mat(n, n, b.data.indices.map(k => (b.data(k) + bt.data(k)) * 0.5).toArray)
       val (vals, vecs) = Mat.eigSym(a)
-      val lambda = Mat.zeros(n, n)
-      vals.indices.foreach(i => lambda(i, i) = vals(i))
-      assert(dist(mul(mul(vecs, lambda), tr(vecs)), a) < 1e-7 * n, s"seed=$seed n=$n")
+      assert(dist(mul(mul(vecs, diag(vals.toSeq)), tr(vecs)), a) < 1e-7 * n, s"seed=$seed n=$n")
     }
   }
 
@@ -161,9 +160,7 @@ class MatSpec extends AnyFunSuite {
 
   test("eigSym eigenvectors are orthonormal") {
     val (_, v) = Mat.eigSym(randSpd(7, new Random(11)))
-    val eye = Mat.zeros(7, 7)
-    (0 until 7).foreach(i => eye(i, i) = 1.0)
-    assert(dist(mul(v, tr(v)), eye) < 1e-8)
+    assert(dist(mul(v, tr(v)), diag(Seq.fill(7)(1.0))) < 1e-8)
   }
 
   test("eigSym on double-centred gaussian kernel matrices, the shape KPCA decomposes (10 seeds)") {
@@ -177,12 +174,8 @@ class MatSpec extends AnyFunSuite {
       val kc = Mat.zeros(n, n)
       for (i <- 0 until n; j <- 0 until n) kc(i, j) = k(i, j) - rowMeans(i) - rowMeans(j) + totalMean
       val (vals, vecs) = Mat.eigSym(kc)
-      val lambda = Mat.zeros(n, n)
-      vals.indices.foreach(i => lambda(i, i) = vals(i))
-      assert(dist(mul(mul(vecs, lambda), tr(vecs)), kc) < 1e-12 * n, s"seed=$seed")
-      val eye = Mat.zeros(n, n)
-      (0 until n).foreach(i => eye(i, i) = 1.0)
-      assert(dist(mul(tr(vecs), vecs), eye) < 1e-12 * n, s"seed=$seed")
+      assert(dist(mul(mul(vecs, diag(vals.toSeq)), tr(vecs)), kc) < 1e-12 * n, s"seed=$seed")
+      assert(dist(mul(tr(vecs), vecs), diag(Seq.fill(n)(1.0))) < 1e-12 * n, s"seed=$seed")
       assert(vals.toSeq == vals.toSeq.sorted(Ordering[Double].reverse), s"seed=$seed")
     }
   }
