@@ -3,7 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterProfile, SparkClusterSimulator}
 import repro.core.Iicp
-import repro.stats.KpcaKernel
+import repro.stats.{KpcaKernel, Perceptron, Polynomial}
 import scala.util.Random
 
 /** Fig 6 — KPCA kernel comparison. The paper picks the kernel whose selected
@@ -44,8 +44,8 @@ class Fig06KernelChoiceBench extends AnyFunSuite {
     println("== Fig 6: KPCA kernel comparison (SD of exec times, seconds) ==")
     val kernels = Seq[(String, Long => KpcaKernel)](
       ("gaussian", _ => KpcaKernel.Gaussian(1.0)),
-      ("perceptron", _ => KpcaKernel.Perceptron),
-      ("polynomial", _ => KpcaKernel.Polynomial))
+      ("perceptron", _ => Perceptron),
+      ("polynomial", _ => Polynomial))
     val rows = Seq("TPC-DS", "TPC-H").map { w =>
       val runs = kernels.map { case (kn, mk) => kn -> kernelSd(w, mk(Bench.Seed), Bench.Seed) }
       val sds = runs.map { case (kn, (sd, _)) => kn -> sd }

@@ -33,7 +33,7 @@ class Fig16ModelAccuracyBench extends AnyFunSuite {
         "KNNAR" -> { val m = KnnRegression.fit(tx, ty, k = 5); m.predict _ },
       )
       val errs = models.map { case (name, predict) =>
-        val e = Stats.meanRelativeError(test.map(t => predict(t._1)), test.map(_._2))
+        val e = ModelError.meanRelativeError(test.map(t => predict(t._1)), test.map(_._2))
         perModelErrors(name) = perModelErrors(name) :+ e
         name -> e
       }

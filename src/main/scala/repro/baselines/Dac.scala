@@ -39,7 +39,7 @@ final class Dac(
     val candidates = new Array[Array[Double]](gaCandidates)
     IntStream.range(0, gaCandidates).parallel().forEach { k =>
       candidates(k) = Ga.minimize(u => model.predict(u :+ ds / 1000.0), space.dim, Rng(seed * 31 + k), popSize = 40,
-        generations = 50).best
+        generations = 50)
     }
     // validate model-optima on the "cluster"; DAC's recommendation is the
     // best of the GA candidates (the model's output), per its protocol

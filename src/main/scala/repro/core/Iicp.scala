@@ -16,10 +16,13 @@ object Iicp {
 
   val SccThreshold = 0.2
 
-  /** The fitted IICP pipeline: CPS-kept parameter names and the KPCA feature
-    * extractor over the kept-parameter unit subspace.
+  /** The fitted IICP pipeline: the subspace of CPS-kept parameters and the
+    * KPCA feature extractor over its unit cube.
     */
-  final case class Model(keptParams: Seq[String], subspace: ConfigSpace, kpca: Kpca) {
+  final case class Model(subspace: ConfigSpace, kpca: Kpca) {
+    /** The CPS-kept parameter names, in the full space's order. */
+    def keptParams: Seq[String] = subspace.names
+
     /** Map a full configuration to the extracted feature vector. */
     def features(conf: ConfigValues): Array[Double] =
       kpca.transform(subspace.encode(conf))
@@ -67,6 +70,6 @@ object Iicp {
     // fewer if they already cover 90% of the spectrum.
     val maxComponents = math.max(3, math.ceil(keptNames.size / 3.0).toInt)
     val kpca = Kpca.fit(xs, k, 0.9, maxComponents)
-    Model(keptNames, sub, kpca)
+    Model(sub, kpca)
   }
 }

@@ -9,9 +9,8 @@ import scala.util.Random
   * 0.9), Gaussian mutation (probability 0.15 per gene, sd 0.12), elitism of 1.
   */
 object Ga {
-  final case class Result(best: Array[Double], bestFitness: Double)
-
-  def minimize(fitness: Array[Double] => Double, d: Int, rng: Random, popSize: Int, generations: Int): Result = {
+  /** The fittest genome of the last generation. */
+  def minimize(fitness: Array[Double] => Double, d: Int, rng: Random, popSize: Int, generations: Int): Array[Double] = {
     require(d >= 1 && popSize >= 4, "ga needs d>=1, popSize>=4")
     var pop = Array.fill(popSize)(Array.fill(d)(rng.nextDouble()))
     var fit = pop.map(fitness)
@@ -43,7 +42,6 @@ object Ga {
       fit = pop.map(fitness)
       g += 1
     }
-    val bi = fit.indices.minBy(fit)
-    Result(pop(bi), fit(bi))
+    pop(fit.indices.minBy(fit))
   }
 }

@@ -2,12 +2,12 @@ package repro.stats
 
 import repro.linalg.Mat
 
-/** Kernel choices for KPCA — the paper compares gaussian, perceptron, and
-  * polynomial kernels (Fig 6) and picks gaussian.
+/** A KPCA kernel. The paper compares gaussian, perceptron and polynomial
+  * kernels (Fig 6) and picks gaussian; the other two are figure-only code in
+  * the test sources (`ComparisonKernels.scala`).
   */
-sealed trait KpcaKernel {
+trait KpcaKernel {
   def apply(x: Array[Double], y: Array[Double]): Double
-  def name: String
 }
 
 object KpcaKernel {
@@ -17,25 +17,6 @@ object KpcaKernel {
   final case class Gaussian(sigma: Double) extends KpcaKernel {
     require(sigma > 0, "gaussian kernel needs sigma > 0")
     def apply(x: Array[Double], y: Array[Double]): Double = math.exp(-sqDist(x, y) / (2.0 * sigma * sigma))
-    val name = "gaussian"
-  }
-
-  /** Polynomial kernel (xᵀy + 1)², the one Fig 6 compares. */
-  case object Polynomial extends KpcaKernel {
-    def apply(x: Array[Double], y: Array[Double]): Double = {
-      var dot = 0.0; var i = 0
-      while (i < x.length) { dot += x(i) * y(i); i += 1 }
-      math.pow(dot + 1.0, 2.0)
-    }
-    val name = "polynomial"
-  }
-
-  /** Perceptron (negative-distance) kernel −||x−y||, conditionally positive
-    * definite; usable in KPCA after double-centering.
-    */
-  case object Perceptron extends KpcaKernel {
-    def apply(x: Array[Double], y: Array[Double]): Double = -math.sqrt(sqDist(x, y))
-    val name = "perceptron"
   }
 
   /** Median-heuristic bandwidth for the gaussian kernel. */

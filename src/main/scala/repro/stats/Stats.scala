@@ -25,12 +25,6 @@ object Stats {
     if (m == 0.0) 0.0 else sd(xs) / m
   }
 
-  /** Relative error used for Fig 16-style model-accuracy comparison. */
-  def meanRelativeError(pred: Seq[Double], actual: Seq[Double]): Double = {
-    require(pred.size == actual.size && pred.nonEmpty, "mre needs equal non-empty seqs")
-    pred.zip(actual).map { case (p, a) => math.abs(p - a) / math.max(1e-12, math.abs(a)) }.sum / pred.size
-  }
-
   /** Spearman Correlation Coefficient (commons-math3's `SpearmansCorrelation`:
     * Pearson correlation of the ranks, ties given their average rank).
     * A constant series gives SCC = 0; a NaN value throws.

@@ -253,7 +253,7 @@ class BaselinesSpec extends AnyFunSuite {
       val model = Gbrt.fit(xs, ys, nTrees = 60, maxDepth = 4)
       val candidates = (0 until 5).map { k =>
         Ga.minimize(u => model.predict(u :+ ds / 1000.0), space.dim, Rng(seed * 31 + k), popSize = 40,
-          generations = 50).best
+          generations = 50)
       }
       val validated = candidates.map(u => log.run(space.decode(u), ds))
       log.result(validated.minBy(_.result.totalSeconds))

@@ -88,3 +88,11 @@ object LogisticRegressionModel {
     new LogisticRegressionModel(w, b, loMean, hiMean)
   }
 }
+
+object ModelError {
+  /** Relative error used for Fig 16-style model-accuracy comparison. */
+  def meanRelativeError(pred: Seq[Double], actual: Seq[Double]): Double = {
+    require(pred.size == actual.size && pred.nonEmpty, "mre needs equal non-empty seqs")
+    pred.zip(actual).map { case (p, a) => math.abs(p - a) / math.max(1e-12, math.abs(a)) }.sum / pred.size
+  }
+}

@@ -213,6 +213,10 @@ class MlSpec extends AnyFunSuite {
     assert(m.predict(Array(0.9)) > m.predict(Array(0.1)))
   }
 
+  test("meanRelativeError known value") {
+    assert(math.abs(ModelError.meanRelativeError(Seq(110.0, 90.0), Seq(100.0, 100.0)) - 0.1) < 1e-12)
+  }
+
   // --- kernel ridge / knn ---------------------------------------------------------
 
   test("kernel ridge fits a nonlinearity linear regression cannot") {
@@ -305,24 +309,24 @@ class MlSpec extends AnyFunSuite {
   // --- GA --------------------------------------------------------------------------
 
   test("GA minimizes a sphere function") {
-    val r = Ga.minimize(u => u.map(v => (v - 0.6) * (v - 0.6)).sum, d = 5,
-      rng = new Random(9), popSize = 30, generations = 60)
-    assert(r.bestFitness < 0.01, s"fitness ${r.bestFitness}")
-    r.best.foreach(v => assert(math.abs(v - 0.6) < 0.15))
+    def f(u: Array[Double]) = u.map(v => (v - 0.6) * (v - 0.6)).sum
+    val best = Ga.minimize(f, d = 5, rng = new Random(9), popSize = 30, generations = 60)
+    assert(f(best) < 0.01, s"fitness ${f(best)}")
+    best.foreach(v => assert(math.abs(v - 0.6) < 0.15))
   }
 
   test("GA keeps genomes inside the unit cube") {
-    val r = Ga.minimize(u => -u.sum, d = 4, rng = new Random(10), popSize = 20, generations = 30)
-    assert(r.best.forall(v => v >= 0.0 && v <= 1.0))
+    val best = Ga.minimize(u => -u.sum, d = 4, rng = new Random(10), popSize = 20, generations = 30)
+    assert(best.forall(v => v >= 0.0 && v <= 1.0))
     // maximizing the sum → best should push toward 1
-    assert(r.best.sum > 3.5)
+    assert(best.sum > 3.5)
   }
 
   test("GA elitism never loses the best individual") {
     def f(u: Array[Double]) = math.abs(u(0) - 0.25)
     val short = Ga.minimize(f, 1, new Random(11), popSize = 10, generations = 5)
     val long = Ga.minimize(f, 1, new Random(11), popSize = 10, generations = 50)
-    assert(long.bestFitness <= short.bestFitness + 1e-12)
+    assert(f(long) <= f(short) + 1e-12)
   }
 }
 

@@ -25,12 +25,12 @@ class KpcaSpec extends AnyFunSuite {
   }
 
   test("polynomial kernel matches closed form") {
-    val k = KpcaKernel.Polynomial
+    val k = Polynomial
     assert(k(Array(1.0, 2.0), Array(3.0, 4.0)) == 144.0) // (11+1)^2
   }
 
   test("perceptron kernel is negative distance") {
-    assert(KpcaKernel.Perceptron(Array(0.0, 0.0), Array(3.0, 4.0)) == -5.0)
+    assert(Perceptron(Array(0.0, 0.0), Array(3.0, 4.0)) == -5.0)
   }
 
   test("medianSigma is positive on distinct points, 1 on identical") {
@@ -88,7 +88,7 @@ class KpcaSpec extends AnyFunSuite {
   test("kpca works with polynomial and perceptron kernels too") {
     val rng = new Random(7)
     val xs = Seq.fill(15)(Array.fill(3)(rng.nextDouble()))
-    Seq(KpcaKernel.Polynomial, KpcaKernel.Perceptron).foreach { kern =>
+    Seq(Polynomial, Perceptron).foreach { kern =>
       val k = Kpca.fit(xs, kern, 0.85, 10)
       assert(k.transform(xs.head).length == k.nComponents)
       assert(k.nComponents >= 1)
@@ -106,8 +106,8 @@ class KpcaSpec extends AnyFunSuite {
 
   private def refKernel(k: KpcaKernel): (Array[Double], Array[Double]) => Double = k match {
     case KpcaKernel.Gaussian(sigma) => (x, y) => math.exp(-refSqDist(x, y) / (2.0 * sigma * sigma))
-    case KpcaKernel.Perceptron => (x, y) => -math.sqrt(refSqDist(x, y))
-    case KpcaKernel.Polynomial => KpcaKernel.Polynomial.apply
+    case Perceptron => (x, y) => -math.sqrt(refSqDist(x, y))
+    case Polynomial => Polynomial.apply
   }
 
   private def refMedianSigma(xs: Seq[Array[Double]]): Double = {
@@ -168,11 +168,11 @@ class KpcaSpec extends AnyFunSuite {
     val probe = xs ++ Seq.fill(20)(sub.randomUnit(rng))
     assert(bits(Seq(KpcaKernel.medianSigma(xs))) == bits(Seq(refMedianSigma(xs))))
     val maxComponents = math.max(3, math.ceil(sub.dim / 3.0).toInt)
-    Seq(KpcaKernel.Gaussian(1.0), KpcaKernel.Gaussian(KpcaKernel.medianSigma(xs)), KpcaKernel.Perceptron,
-      KpcaKernel.Polynomial).foreach { kernel =>
+    Seq(KpcaKernel.Gaussian(1.0), KpcaKernel.Gaussian(KpcaKernel.medianSigma(xs)), Perceptron,
+      Polynomial).foreach { kernel =>
       val kpca = Kpca.fit(xs, kernel, 0.9, maxComponents)
       val ref = refKpca(xs, kernel, 0.9, maxComponents)
-      probe.foreach(x => assert(bits(kpca.transform(x).toSeq) == bits(ref(x).toSeq), kernel.name))
+      probe.foreach(x => assert(bits(kpca.transform(x).toSeq) == bits(ref(x).toSeq), kernel.toString))
       val ref2 = refKernel(kernel)
       assert(bits(for (a <- probe; b <- probe) yield kernel(a, b)) == bits(for (a <- probe; b <- probe) yield ref2(a, b)))
     }

@@ -24,10 +24,6 @@ class StatsSpec extends AnyFunSuite {
     assert(math.abs(Stats.cv(xs) - Stats.cv(xs.map(_ * 37.5))) < 1e-12)
   }
 
-  test("meanRelativeError known value") {
-    assert(math.abs(Stats.meanRelativeError(Seq(110.0, 90.0), Seq(100.0, 100.0)) - 0.1) < 1e-12)
-  }
-
   test("spearman is 1 for any monotone increasing transform") {
     val xs = Seq(1.0, 2.0, 3.0, 4.0, 5.0)
     assert(math.abs(Stats.spearman(xs, xs.map(x => math.exp(x))) - 1.0) < 1e-12)
