@@ -2,8 +2,6 @@ package repro.stats
 
 import repro.linalg.Mat.sqDist
 
-// The two kernels Fig 6 compares with LOCAT's gaussian (KpcaKernel.Gaussian).
-
 /** Polynomial kernel (xᵀy + 1)², the one Fig 6 compares. */
 case object Polynomial extends KpcaKernel {
   def apply(x: Array[Double], y: Array[Double]): Double = {
